@@ -9,6 +9,7 @@ positions between them.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .errors import PreconditionError, SizeError, ValidationError
@@ -70,9 +71,18 @@ class BruhatPoset:
     def max_rank(self) -> int:
         return len(self.levels) - 1
 
+    @cached_property
+    def up_covers(self) -> dict[Perm, tuple[Perm, ...]]:
+        """The covers of each permutation, read from cover_edges; do not mutate."""
+        up: dict[Perm, list[Perm]] = {p: [] for level in self.levels for p in level}
+        for p, q in self.cover_edges:
+            up[p].append(q)
+        return {p: tuple(qs) for p, qs in up.items()}
+
     def edges_from_level(self, k: int) -> list[tuple[Perm, Perm]]:
         """Cover edges whose source has rank k."""
-        return [(p, q) for p in self.levels[k] for q in covers(p)]
+        up = self.up_covers
+        return [(p, q) for p in self.levels[k] for q in up[p]]
 
 
 def build_bruhat(n: int, cap: int = DEFAULT_N_CAP) -> BruhatPoset:

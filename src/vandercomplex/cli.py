@@ -17,7 +17,7 @@ from time import perf_counter
 
 from .checks import run_all
 from .cochain import DEFAULT_DIM_BUDGET, verify_euler
-from .errors import SizeError, ValidationError, VanderComplexError
+from .errors import FormatError, SizeError, ValidationError, VanderComplexError
 from .gendet import matrix_report, parse_matrix
 from .linkdiag import parse_diagram, torus_two_n
 from .zndiag import chain_map, cohomology_quotients, induced_map_from, parse_morphism
@@ -36,8 +36,11 @@ def _parse_colors(text: str) -> tuple[int, ...]:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path} is not UTF-8 text") from None
 
 
 def build_parser() -> _Parser:
@@ -46,11 +49,11 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--threads", type=int, default=1, help="worker bound for rank computations")
         p.add_argument("--budget", type=int, default=DEFAULT_DIM_BUDGET,
-                       help="basis-element budget for building complexes")
+                       help="cap on the total basis elements of a complex whose "
+                            "cohomology or chain maps are computed")
         p.add_argument("--skip-homology", action="store_true",
-                       help="dimensions and Euler characteristic only, no elimination")
+                       help="dimensions and Euler characteristic only")
 
     p = sub.add_parser("torus", help="two-strand torus closure with n crossings")
     p.add_argument("--n", type=int, required=True)
@@ -106,7 +109,7 @@ def _cmd_torus(args) -> int:
         raise ValidationError(f"--x has {len(x)} entries but --n is {args.n}")
     report = verify_euler(
         torus_two_n(args.n), x,
-        skip_homology=args.skip_homology, budget=args.budget, threads=args.threads,
+        skip_homology=args.skip_homology, budget=args.budget,
     )
     return _emit_report(report, "torus", args.json)
 
@@ -116,17 +119,13 @@ def _cmd_diagram(args) -> int:
     x = _parse_colors(args.x)
     if len(x) != d.n:
         raise ValidationError(f"--x has {len(x)} entries but the diagram has {d.n} crossings")
-    report = verify_euler(
-        d, x, skip_homology=args.skip_homology, budget=args.budget, threads=args.threads,
-    )
+    report = verify_euler(d, x, skip_homology=args.skip_homology, budget=args.budget)
     return _emit_report(report, "diagram", args.json)
 
 
 def _cmd_matrix(args) -> int:
     m = parse_matrix(_read(args.file))
-    report = matrix_report(
-        m, skip_homology=args.skip_homology, budget=args.budget, threads=args.threads,
-    )
+    report = matrix_report(m, skip_homology=args.skip_homology, budget=args.budget)
     return _emit_report(report, "matrix", args.json)
 
 
@@ -197,6 +196,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot read {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except (ValidationError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

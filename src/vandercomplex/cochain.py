@@ -16,18 +16,22 @@ and pack into bit matrices at the end.
 
 Circle identity across different smoothings is never needed: a changed
 color factor depends only on the two circle counts.
+
+The same fact splits the complex into small summands that do not depend
+on the colors (see `summands`); verify_euler takes its cohomology from
+them, and homology on a built complex is the dense check on that route.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import prod
 from time import perf_counter
 
 from .bruhat import DEFAULT_N_CAP, BruhatPoset, Perm, build_bruhat, inversions, validate_perm
-from .errors import ConsistencyError, PreconditionError, SizeError, ValidationError
+from .errors import ConsistencyError, PreconditionError, SizeError, ValidationError, strict_int
 from .gf2 import GF2Matrix
 from .linkdiag import DEFAULT_SMOOTHING_CAP, LinkDiagram, is_height_uniform, s_vector
+from .summands import homology_dims
 
 ColorVector = tuple[int, ...]
 
@@ -35,7 +39,7 @@ DEFAULT_DIM_BUDGET = 10**7
 
 
 def validate_colors(x) -> ColorVector:
-    xs = tuple(int(v) for v in x)
+    xs = tuple(strict_int(v, "color") for v in x)
     if not xs or any(v < 1 for v in xs):
         raise ValidationError(f"color vector entries must be positive integers: {x!r}")
     return xs
@@ -195,6 +199,13 @@ def _merge_split_options(src: BlockLayout, tgt: BlockLayout, p: int) -> list[tup
     return [(a * wi, a * wo) for a in range(radix)]
 
 
+def check_budget(dims, budget: int) -> None:
+    """Refuse a complex whose total dimension is over the basis budget."""
+    total = sum(dims)
+    if total > budget:
+        raise SizeError(f"total dimension {total} exceeds the budget {budget}")
+
+
 def build_levels(poset: BruhatPoset, layout_for_perm):
     """Shared level scaffolding: layouts, offsets, and dimensions."""
     layouts: dict[Perm, BlockLayout] = {}
@@ -234,9 +245,7 @@ def build_complex(
         return make_layout(xs, counts, order=basis_order)
 
     layouts, offsets, dims = build_levels(poset, layout_for)
-    total = sum(dims)
-    if total > budget:
-        raise SizeError(f"total dimension {total} exceeds the budget {budget}")
+    check_budget(dims, budget)
 
     differentials = []
     for k in range(poset.max_rank):
@@ -323,22 +332,19 @@ class HomologyReport:
         }
 
 
-def homology(cx: CochainComplex, threads: int = 1) -> HomologyReport:
-    """Cohomology dimensions of a built complex.
+def homology(cx: CochainComplex) -> HomologyReport:
+    """Cohomology dimensions of a built complex by dense elimination.
 
     dim H^k = dim C^k - rank d^k - rank d^(k-1), with the maps off either
-    end treated as zero.
+    end treated as zero.  This is the independent check on the summand
+    route of verify_euler and matrix_report.
     """
     t0 = perf_counter()
     if not cx.verify_d_squared():
         raise ConsistencyError(
             "differentials do not square to zero; complex construction is broken"
         )
-    if threads > 1 and len(cx.differentials) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ranks = list(pool.map(GF2Matrix.rank, cx.differentials))
-    else:
-        ranks = [m.rank() for m in cx.differentials]
+    ranks = [m.rank() for m in cx.differentials]
     top = cx.max_rank
     hom = []
     for k in range(top + 1):
@@ -362,33 +368,37 @@ def verify_euler(
     *,
     skip_homology: bool = False,
     budget: int = DEFAULT_DIM_BUDGET,
-    threads: int = 1,
     n_cap: int = DEFAULT_N_CAP,
 ) -> HomologyReport:
     """Compare the Euler characteristic against the exact determinant.
 
-    With skip_homology the dimensions come from the counting formula and
-    no matrices are built, which is how the larger color vectors stay
-    cheap; the Euler characteristic needs no elimination either way.
+    The level dimensions come from the counting formula, so no complex is
+    built.  Unless skip_homology is set, the cohomology is summed over the
+    color-independent summands C(N, j) (see `summands`), each occurring
+    prod_{i not in N} x_i * prod_{i in N} (x_i^(s_{j_i}) - x_i) times; the
+    summed dimensions must reproduce the counting formula at every level.
+    budget caps the total dimension of a complex whose cohomology is asked
+    for and is checked before any work; it does not apply with
+    skip_homology.
     """
     from .gendet import det_exact, vandermonde_matrix
 
     t0 = perf_counter()
     xs = validate_colors(x)
     s = s_vector(d)
-    if skip_homology:
-        dims = cochain_dims(d, xs, n_cap=n_cap)
-        report = HomologyReport(
-            n=d.n,
-            x=xs,
-            s=s,
-            cochain_dims=dims,
-            homology_dims=None,
-            euler_characteristic=euler_characteristic(dims),
-        )
-    else:
-        cx = build_complex(d, xs, budget=budget, n_cap=n_cap)
-        report = homology(cx, threads=threads)
+    dims = cochain_dims(d, xs, n_cap=n_cap)
+    hom = None
+    if not skip_homology:
+        check_budget(dims, budget)
+        hom = homology_dims([[xi] + [xi**sj - xi for sj in s] for xi in xs], dims)
+    report = HomologyReport(
+        n=d.n,
+        x=xs,
+        s=s,
+        cochain_dims=dims,
+        homology_dims=hom,
+        euler_characteristic=euler_characteristic(dims),
+    )
     report.determinant = det_exact(vandermonde_matrix(xs, s))
     report.agree = report.euler_characteristic == report.determinant
     report.elapsed_ms = (perf_counter() - t0) * 1000.0

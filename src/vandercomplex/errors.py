@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the strict integer check."""
+
+from numbers import Integral
 
 
 class VanderComplexError(Exception):
@@ -35,3 +37,12 @@ class MembershipError(VanderComplexError):
 
 class ConsistencyError(VanderComplexError):
     """An internal invariant failed; indicates a construction bug."""
+
+
+def strict_int(value, what: str) -> int:
+    """value as an int: bools, non-integral floats and non-numbers are refused."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")

@@ -13,6 +13,11 @@ the differential requires: the unit picks out the first basis vector and
 the counit sends every basis vector to 1.  (The Frobenius-algebra counit
 and unit from the tqft module pair to dim mod 2 instead, which breaks
 commutativity of mixed-parity diamonds.)
+
+In the basis f_0 = e_0, f_a = e_a + e_0 of each factor, unit-after-counit
+keeps f_0 and kills every f_a, so the complex splits into the same
+color-independent summands as the link complexes (see `summands`);
+matrix_report takes its cohomology from them.
 """
 
 import json
@@ -30,12 +35,13 @@ from .cochain import (
     _cover_pairs,
     _identity_options,
     build_levels,
+    check_budget,
     euler_characteristic,
-    homology,
     make_layout,
 )
-from .errors import FormatError, PreconditionError, SizeError, ValidationError
+from .errors import FormatError, PreconditionError, SizeError, ValidationError, strict_int
 from .gf2 import GF2Matrix
+from .summands import homology_dims
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,7 @@ class PosIntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.entries)
+        rows = tuple(tuple(strict_int(v, "matrix entry") for v in row) for row in self.entries)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValidationError("matrix must be square and nonempty")
@@ -150,9 +156,7 @@ def build_matrix_complex(
         return make_layout(radices, [1] * n)
 
     layouts, offsets, dims = build_levels(poset, layout_for)
-    total = sum(dims)
-    if total > budget:
-        raise SizeError(f"total dimension {total} exceeds the budget {budget}")
+    check_budget(dims, budget)
 
     differentials = []
     for k in range(poset.max_rank):
@@ -194,23 +198,29 @@ def matrix_report(
     *,
     skip_homology: bool = False,
     budget: int = DEFAULT_DIM_BUDGET,
-    threads: int = 1,
     n_cap: int = DEFAULT_N_CAP,
 ) -> HomologyReport:
-    """Build the matrix complex and compare its Euler characteristic to det."""
+    """Compare the matrix complex's Euler characteristic to det(m).
+
+    As in verify_euler, the dimensions come from the counting formula and
+    the cohomology, unless skip_homology is set, from the summands C(N, j),
+    each occurring prod_{i in N} (m[i][j_i] - 1) times; budget is checked on
+    the total dimension first.
+    """
     t0 = perf_counter()
-    if skip_homology:
-        dims = matrix_dims(m, n_cap=n_cap)
-        report = HomologyReport(
-            n=m.n,
-            x=None,
-            s=None,
-            cochain_dims=dims,
-            homology_dims=None,
-            euler_characteristic=euler_characteristic(dims),
-        )
-    else:
-        report = homology(build_matrix_complex(m, budget=budget, n_cap=n_cap), threads=threads)
+    dims = matrix_dims(m, n_cap=n_cap)
+    hom = None
+    if not skip_homology:
+        check_budget(dims, budget)
+        hom = homology_dims([[1] + [v - 1 for v in row] for row in m.entries], dims)
+    report = HomologyReport(
+        n=m.n,
+        x=None,
+        s=None,
+        cochain_dims=dims,
+        homology_dims=hom,
+        euler_characteristic=euler_characteristic(dims),
+    )
     report.determinant = det_exact(m)
     report.agree = report.euler_characteristic == report.determinant
     report.elapsed_ms = (perf_counter() - t0) * 1000.0

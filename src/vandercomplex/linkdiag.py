@@ -19,6 +19,7 @@ from .errors import (
     SizeError,
     StructureError,
     ValidationError,
+    strict_int,
 )
 
 DEFAULT_SMOOTHING_CAP = 20
@@ -28,7 +29,7 @@ Pairing = tuple[tuple[int, int], tuple[int, int]]
 
 def _canon_pairing(pairing, what: str) -> Pairing:
     try:
-        pairs = [tuple(sorted((int(a), int(b)))) for a, b in pairing]
+        pairs = [tuple(sorted((strict_int(a, what), strict_int(b, what)))) for a, b in pairing]
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{what} must be two pairs of integer arc ends") from exc
     if len(pairs) != 2:
@@ -74,6 +75,7 @@ class LinkDiagram:
 
     def __post_init__(self):
         object.__setattr__(self, "crossings", tuple(self.crossings))
+        object.__setattr__(self, "free_loops", strict_int(self.free_loops, "free_loops"))
         if self.free_loops < 0:
             raise ValidationError("free_loops must be nonnegative")
         counts: dict[int, int] = {}
@@ -162,10 +164,7 @@ def parse_diagram(text: str) -> LinkDiagram:
         if not isinstance(entry, dict) or "zero" not in entry or "one" not in entry:
             raise FormatError(f'crossing {i} must carry "zero" and "one" pairings')
         crossings.append(Crossing(zero=entry["zero"], one=entry["one"]))
-    free_loops = data.get("free_loops", 0)
-    if not isinstance(free_loops, int):
-        raise FormatError('"free_loops" must be an integer')
-    return LinkDiagram(tuple(crossings), free_loops)
+    return LinkDiagram(tuple(crossings), data.get("free_loops", 0))
 
 
 def format_diagram(d: LinkDiagram) -> str:

@@ -37,9 +37,18 @@ from .errors import (
     MembershipError,
     PreconditionError,
     ValidationError,
+    strict_int,
 )
 from .gf2 import GF2Matrix, QuotientSpace
 from .linkdiag import LinkDiagram
+
+
+def _arc(arc) -> tuple[int, int]:
+    try:
+        i, j = arc
+    except (TypeError, ValueError):
+        raise ValidationError(f"arc {arc!r} must be a pair of positions") from None
+    return strict_int(i, "arc endpoint"), strict_int(j, "arc endpoint")
 
 
 @dataclass(frozen=True)
@@ -59,7 +68,7 @@ class ZndiagMorphism:
                 "source and target color vectors must have the same length"
             )
         n = len(src)
-        arcs = tuple(sorted((int(i), int(j)) for i, j in self.arcs))
+        arcs = tuple(sorted(_arc(a) for a in self.arcs))
         seen_src: set[int] = set()
         seen_tgt: set[int] = set()
         for i, j in arcs:
@@ -77,7 +86,7 @@ class ZndiagMorphism:
                 raise ValidationError(f"arc ({i},{j}) reuses a matched endpoint")
             seen_src.add(i)
             seen_tgt.add(j)
-        dots = tuple(sorted(int(c) for c in self.dots))
+        dots = tuple(sorted(strict_int(c, "dot color") for c in self.dots))
         if any(c < 1 for c in dots):
             raise ValidationError("dot colors must be positive integers")
         object.__setattr__(self, "source", src)
@@ -144,16 +153,10 @@ def parse_morphism(text: str) -> ZndiagMorphism:
         raise FormatError(f"morphism file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "source" not in data or "target" not in data:
         raise FormatError('morphism file must carry "source" and "target" lists')
-    arcs = data.get("arcs", [])
-    dots = data.get("dots", [])
-    if not isinstance(arcs, list) or not isinstance(dots, list):
-        raise FormatError('"arcs" and "dots" must be lists')
-    return ZndiagMorphism(
-        tuple(data["source"]),
-        tuple(data["target"]),
-        tuple(tuple(arc) for arc in arcs),
-        tuple(dots),
-    )
+    fields = [data["source"], data["target"], data.get("arcs", []), data.get("dots", [])]
+    if not all(isinstance(f, list) for f in fields):
+        raise FormatError('"source", "target", "arcs" and "dots" must be lists')
+    return ZndiagMorphism(*(tuple(f) for f in fields))
 
 
 @dataclass

@@ -117,6 +117,14 @@ def test_build_bruhat_cap():
         build_bruhat(0)
 
 
+def test_edges_from_level_match_covers():
+    for n in range(1, 6):
+        poset = build_bruhat(n)
+        for k in range(poset.max_rank + 1):
+            expected = [(p, q) for p in poset.levels[k] for q in covers(p)]
+            assert poset.edges_from_level(k) == expected
+
+
 def test_levels_are_lexicographic():
     poset = build_bruhat(4)
     for level in poset.levels:

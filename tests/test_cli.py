@@ -30,12 +30,6 @@ def test_torus_json_skip_homology(capsys):
     assert payload["agree"] is True
 
 
-def test_torus_threads_flag(capsys):
-    code, out, _ = run(capsys, "torus", "--n", "3", "--x", "2,2,2", "--threads", "2", "--json")
-    assert code == 0
-    assert json.loads(out)["agree"] is True
-
-
 def test_json_reports_stable_modulo_elapsed(capsys):
     _, out1, _ = run(capsys, "torus", "--n", "3", "--x", "1,2,3", "--json")
     _, out2, _ = run(capsys, "torus", "--n", "3", "--x", "1,2,3", "--json")
@@ -100,6 +94,40 @@ def test_input_error_exits_1(capsys, tmp_path):
     bad.write_text("{ nope")
     code, _, err = run(capsys, "matrix", "--file", str(bad))
     assert code == 1 and "not valid JSON" in err
+
+
+def test_unreadable_file_exits_1(capsys, tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00{")
+    for path in (tmp_path, binary):
+        code, _, err = run(capsys, "matrix", "--file", str(path))
+        assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+_TORUS2 = json.loads(format_diagram(torus_two_n(2)))
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("matrix", {"matrix": [[1.5, 2], [3, 4]]}),
+        ("matrix", {"matrix": [[True, 2], [3, 4]]}),
+        ("zmap", {"source": [1, 2], "target": [1, 2], "dots": [2.5]}),
+        ("zmap", {"source": [1, 2], "target": [1, 2], "arcs": [[1]]}),
+        ("zmap", {"source": [1, 2], "target": [1, 2], "arcs": [5]}),
+        ("zmap", {"source": [1.5, 2], "target": [1, 2]}),
+        ("diagram", {**_TORUS2, "free_loops": True}),
+        ("diagram", {**_TORUS2, "crossings": [
+            {"zero": [[4.9, 1], [2, 3]], "one": [[4.9, 2], [1, 3]]}, *_TORUS2["crossings"][1:]]}),
+    ],
+)
+def test_malformed_numbers_exit_1(capsys, tmp_path, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    extra = {"matrix": [], "zmap": ["--n", "2"], "diagram": ["--x", "1,2"]}[command]
+    code, out, err = run(capsys, command, "--file", str(path), *extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_budget_error_exits_1(capsys):

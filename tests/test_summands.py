@@ -1,0 +1,100 @@
+import random
+
+import pytest
+
+from vandercomplex import (
+    ConsistencyError,
+    SizeError,
+    build_complex,
+    build_matrix_complex,
+    cochain_dims,
+    det_exact,
+    homology,
+    matrix_report,
+    random_diagram,
+    s_vector,
+    torus_two_n,
+    vandermonde_matrix,
+    verify_euler,
+)
+from vandercomplex.gendet import matrix_dims, random_matrix
+from vandercomplex.summands import summand_table
+
+DENSE_CAP = 4000  # total basis elements the dense oracle is asked to eliminate
+
+
+def product_formula(x) -> int:
+    out = 1
+    for i, xi in enumerate(x):
+        out *= xi
+        for xj in x[i + 1 :]:
+            out *= xj - xi
+    return out
+
+
+def test_summands_match_dense_on_random_diagrams():
+    rng = random.Random(2024)
+    seen = with_loops = 0
+    while seen < 40:
+        n = rng.randint(1, 4)
+        d = random_diagram(n, rng, free_loops=rng.choice((0, 0, 1, 2)))
+        x = tuple(rng.randint(1, 3) for _ in range(n))
+        if sum(cochain_dims(d, x)) > DENSE_CAP:
+            continue
+        rep = verify_euler(d, x)
+        assert rep.homology_dims == homology(build_complex(d, x)).homology_dims, (d, x)
+        seen += 1
+        with_loops += d.free_loops > 0
+    assert with_loops >= 5
+
+
+def test_summands_match_dense_on_random_matrices():
+    rng = random.Random(2025)
+    seen = 0
+    while seen < 40:
+        m = random_matrix(rng.randint(1, 4), 3, rng)
+        if sum(matrix_dims(m)) > DENSE_CAP:
+            continue
+        rep = matrix_report(m)
+        assert rep.homology_dims == homology(build_matrix_complex(m)).homology_dims, m.entries
+        seen += 1
+
+
+@pytest.mark.parametrize(
+    "n, x, budget",
+    [(5, (2, 2, 2, 2, 2), 10**7), (6, (1, 2, 3, 4, 5, 6), 10**15)],
+)
+def test_summands_past_the_dense_engine(n, x, budget):
+    d = torus_two_n(n)
+    rep = verify_euler(d, x, budget=budget)
+    chi = sum(h if k % 2 == 0 else -h for k, h in enumerate(rep.homology_dims))
+    assert chi == det_exact(vandermonde_matrix(x, s_vector(d))) == product_formula(x)
+    assert rep.agree
+    assert all(0 <= h <= c for h, c in zip(rep.homology_dims, rep.cochain_dims))
+
+
+def test_corrupted_summand_entry_is_caught(monkeypatch):
+    d, x = torus_two_n(3), (2, 2, 2)
+    verify_euler(d, x)
+    table = summand_table(3)
+    corrupted = table.dims.copy()
+    corrupted[0, 1] += 1  # row 0, no position held, occurs in every complex
+    monkeypatch.setattr(table, "dims", corrupted)
+    with pytest.raises(ConsistencyError, match="do not reproduce"):
+        verify_euler(d, x)
+
+
+def test_corrupted_summand_homology_is_caught(monkeypatch):
+    m = random_matrix(3, 3, random.Random(7))
+    matrix_report(m)
+    table = summand_table(3)
+    corrupted = table.hom.copy()
+    corrupted[0, 0] += 1
+    monkeypatch.setattr(table, "hom", corrupted)
+    with pytest.raises(ConsistencyError, match="does not fit"):
+        matrix_report(m)
+
+
+def test_sums_past_64_bits_are_refused():
+    with pytest.raises(SizeError, match="64-bit"):
+        verify_euler(torus_two_n(2), (2**40, 3), budget=2**200)
