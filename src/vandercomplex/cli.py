@@ -193,6 +193,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("n", "budget"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ValidationError(f"--{flag} must be a positive integer, got {value}")
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)

@@ -2,10 +2,12 @@
 
 Matrices are dense bit matrices packed row-major into 64-bit words, so a
 row operation is a handful of word XORs and elimination runs at memory
-speed through numpy.  Everything here is deterministic: pivots are chosen
-as the first nonzero row at the lowest row index, and quotient coordinates
-always reduce against the lowest set bit first, so identical inputs give
-identical output bits on every run.
+speed through numpy.  Packing, products, kernels and quotient coordinates
+are whole-array operations; no loop runs over single bits.  Everything
+here is deterministic: pivots are chosen as the first nonzero row at the
+lowest row index, and quotient coordinates always reduce against the
+lowest set bit first, so identical inputs give identical output bits on
+every run.
 
 Vectors carry their own packed words.  Matrix values are treated as
 immutable by the rest of the package; rank and reduction work on private
@@ -25,9 +27,34 @@ _U64_1 = np.uint64(1)
 # against accidentally materializing matrices for oversized complexes.
 MAX_MATRIX_BYTES = 2 << 30
 
+# Words of temporaries a sparse product may hold at once; larger products
+# run in chunks.
+CHUNK_WORDS = 1 << 18
+
 
 def _nwords(cols: int) -> int:
     return (cols + 63) >> 6
+
+
+def _pack(bits) -> np.ndarray:
+    """Pack a (rows, cols) array of nonzero-means-set into (rows, words) uint64."""
+    rows, cols = np.shape(bits)
+    out = np.zeros((rows, _nwords(cols) * 8), dtype=np.uint8)
+    out[:, : (cols + 7) >> 3] = np.packbits(np.asarray(bits, dtype=bool), axis=1, bitorder="little")
+    return out.view(np.uint64)
+
+
+def _others(n: int, taken) -> np.ndarray:
+    """The indices below n that are not in taken, ascending."""
+    keep = np.ones(n, dtype=bool)
+    keep[taken] = False
+    return np.flatnonzero(keep)
+
+
+def _unpack(words: np.ndarray, cols: int) -> np.ndarray:
+    """The first `cols` bits of each row of packed words, as 0/1 uint8."""
+    bits = np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=-1, bitorder="little")
+    return bits[..., :cols]
 
 
 class GF2Vector:
@@ -45,12 +72,8 @@ class GF2Vector:
 
     @classmethod
     def from_bits(cls, bits) -> "GF2Vector":
-        bits = list(bits)
-        v = cls.zeros(len(bits))
-        for i, b in enumerate(bits):
-            if b & 1:
-                v.set(i, 1)
-        return v
+        bits = np.fromiter(bits, dtype=np.int64) & 1
+        return cls(len(bits), _pack(bits[None])[0])
 
     def copy(self) -> "GF2Vector":
         return GF2Vector(self.n, self.words.copy())
@@ -58,20 +81,6 @@ class GF2Vector:
     def get(self, i: int) -> int:
         w, b = divmod(i, 64)
         return int(self.words[w] >> np.uint64(b)) & 1
-
-    def set(self, i: int, value: int) -> None:
-        w, b = divmod(i, 64)
-        bit = _U64_1 << np.uint64(b)
-        if value & 1:
-            self.words[w] |= bit
-        else:
-            self.words[w] &= ~bit
-
-    def ixor(self, other: "GF2Vector") -> None:
-        self.words ^= other.words
-
-    def __xor__(self, other: "GF2Vector") -> "GF2Vector":
-        return GF2Vector(self.n, self.words ^ other.words)
 
     def is_zero(self) -> bool:
         return not self.words.any()
@@ -85,18 +94,10 @@ class GF2Vector:
 
     def support(self) -> list[int]:
         """Indices of the set bits, ascending."""
-        out = []
-        for w, word in enumerate(self.words):
-            word = int(word)
-            base = w << 6
-            while word:
-                low = word & -word
-                out.append(base + low.bit_length() - 1)
-                word ^= low
-        return out
+        return np.flatnonzero(_unpack(self.words, self.n)).tolist()
 
     def to_bits(self) -> list[int]:
-        return [self.get(i) for i in range(self.n)]
+        return _unpack(self.words, self.n).tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GF2Vector):
@@ -140,8 +141,8 @@ class GF2Matrix:
     @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
         m = cls(n, n)
-        for i in range(n):
-            m._set(i, i)
+        i = np.arange(n)
+        m.words[i, i >> 6] = _U64_1 << (i & 63).astype(np.uint64)
         return m
 
     @classmethod
@@ -150,12 +151,8 @@ class GF2Matrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValidationError("rows have differing lengths")
-        m = cls(len(rows), ncols)
-        for i, r in enumerate(rows):
-            for j, bit in enumerate(r):
-                if bit & 1:
-                    m._set(i, j)
-        return m
+        bits = np.array(rows, dtype=np.int64).reshape(len(rows), ncols) & 1
+        return cls(len(rows), ncols, _pack(bits))
 
     @classmethod
     def from_triplets(cls, rows: int, cols: int, coords) -> "GF2Matrix":
@@ -179,10 +176,6 @@ class GF2Matrix:
 
     # -- element access ------------------------------------------------
 
-    def _set(self, i: int, j: int) -> None:
-        w, b = divmod(j, 64)
-        self.words[i, w] |= _U64_1 << np.uint64(b)
-
     def get(self, i: int, j: int) -> int:
         w, b = divmod(j, 64)
         return int(self.words[i, w] >> np.uint64(b)) & 1
@@ -196,39 +189,26 @@ class GF2Matrix:
     def column(self, j: int) -> GF2Vector:
         w, b = divmod(j, 64)
         bits = (self.words[:, w] >> np.uint64(b)) & _U64_1
-        v = GF2Vector.zeros(self.rows)
-        idx = np.nonzero(bits)[0]
-        for i in idx:
-            v.set(int(i), 1)
-        return v
+        return GF2Vector(self.rows, _pack(bits[None])[0])
 
     def columns(self) -> list[GF2Vector]:
-        return [self.column(j) for j in range(self.cols)]
+        return [GF2Vector(self.rows, words) for words in self.transpose().words]
 
     def is_zero(self) -> bool:
         return not self.words.any()
 
     def to_rows(self) -> list[list[int]]:
-        return [self.row(i).to_bits() for i in range(self.rows)]
+        return _unpack(self.words, self.cols).tolist()
 
     def to_bool_array(self) -> np.ndarray:
         """Unpacked bits; meant for small matrices (tests, tensor assembly)."""
         if self.rows * self.cols > (1 << 28):
             raise SizeError(f"refusing to unpack a {self.rows}x{self.cols} matrix")
-        if self.rows == 0 or self.cols == 0:
-            return np.zeros((self.rows, self.cols), dtype=bool)
-        bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
-        return bits[:, : self.cols].astype(bool)
+        return _unpack(self.words, self.cols).astype(bool)
 
     @classmethod
     def from_bool_array(cls, arr: np.ndarray) -> "GF2Matrix":
-        arr = np.asarray(arr, dtype=bool)
-        rows, cols = arr.shape
-        m = cls(rows, cols)
-        if rows and cols:
-            packed = np.packbits(arr, axis=1, bitorder="little")
-            m.words.view(np.uint8)[:, : packed.shape[1]] = packed
-        return m
+        return cls(*np.shape(arr), _pack(arr))
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "GF2Matrix":
         """Copy of the half-open row and column range."""
@@ -236,10 +216,7 @@ class GF2Matrix:
             raise ValidationError("submatrix range out of bounds")
         if (r1 - r0) * self.cols > (1 << 28):
             raise SizeError(f"refusing to unpack {r1 - r0} rows of {self.cols} columns")
-        if r1 == r0 or c1 == c0:
-            return GF2Matrix(r1 - r0, c1 - c0)
-        bits = np.unpackbits(self.words[r0:r1].view(np.uint8), axis=1, bitorder="little")
-        return GF2Matrix.from_bool_array(bits[:, c0:c1].astype(bool))
+        return GF2Matrix.from_bool_array(_unpack(self.words[r0:r1], c1)[:, c0:])
 
     def transpose(self) -> "GF2Matrix":
         return GF2Matrix.from_bool_array(self.to_bool_array().T)
@@ -266,15 +243,35 @@ class GF2Matrix:
         return np.nonzero(bits)[0]
 
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
+        """Sparse product: each output row XORs the rows of other that self selects.
+
+        The selected (row, column) pairs are read off self's nonzero words,
+        in chunks of whole words that keep the temporaries near CHUNK_WORDS.
+        """
         if self.cols != other.rows:
             raise ValidationError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         out = GF2Matrix(self.rows, other.cols)
-        for i in range(self.rows):
-            idx = self._row_support(i)
-            if idx.size:
-                out.words[i] = np.bitwise_xor.reduce(other.words[idx], axis=0)
+        r, w = np.nonzero(self.words)
+        vals = self.words[r, w]
+        # a pair gathers one row of other and keeps four index words
+        budget = max(64, CHUNK_WORDS // (other.words.shape[1] + 4))
+        cuts = [0, r.size]
+        if r.size * 64 > budget:
+            pairs = np.cumsum(np.bitwise_count(vals), dtype=np.int64)
+            cuts = [0, *np.searchsorted(pairs, np.arange(budget, pairs[-1], budget), side="right"), r.size]
+        for lo, hi in zip(cuts, cuts[1:]):
+            bits = np.unpackbits(vals[lo:hi].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+            k, b = np.nonzero(bits)
+            rows = r[lo:hi][k]
+            first = np.ones(rows.size, dtype=bool)
+            np.not_equal(rows[1:], rows[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            # a row cut between two chunks gets both parts XORed in
+            out.words[rows[starts]] ^= np.bitwise_xor.reduceat(
+                other.words[(w[lo:hi][k] << 6) + b], starts, axis=0
+            )
         return out
 
     def compose_is_zero(self, other: "GF2Matrix") -> bool:
@@ -290,15 +287,8 @@ class GF2Matrix:
     def mul_vector(self, v: GF2Vector) -> GF2Vector:
         if v.n != self.cols:
             raise ValidationError("vector length does not match matrix columns")
-        if self.rows == 0:
-            return GF2Vector.zeros(0)
-        if self.cols == 0:
-            return GF2Vector.zeros(self.rows)
         parities = np.bitwise_count(self.words & v.words).sum(axis=1) & 1
-        out = GF2Vector.zeros(self.rows)
-        for i in np.nonzero(parities)[0]:
-            out.set(int(i), 1)
-        return out
+        return GF2Vector(self.rows, _pack(parities[None])[0])
 
     # -- elimination ----------------------------------------------------
 
@@ -315,18 +305,11 @@ class GF2Matrix:
     def nullspace_basis(self) -> list[GF2Vector]:
         """Basis of the right kernel, one vector per free column, ascending."""
         reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            v = GF2Vector.zeros(self.cols)
-            v.set(f, 1)
-            for r, pc in enumerate(pivots):
-                if reduced.get(r, f):
-                    v.set(pc, 1)
-            basis.append(v)
-        return basis
+        free = _others(self.cols, pivots)
+        bits = np.zeros((free.size, self.cols), dtype=np.uint8)
+        bits[np.arange(free.size), free] = 1
+        bits[:, pivots] = _unpack(reduced.words[: len(pivots)], self.cols)[:, free].T
+        return [GF2Vector(self.cols, words) for words in _pack(bits)]
 
 
 def _eliminate(words: np.ndarray, nrows: int, cols: int, full: bool) -> list[int]:
@@ -367,94 +350,106 @@ class QuotientSpace:
     Boundaries are inserted first, then the cycles in their given order;
     each cycle that contributes a new pivot becomes a quotient basis
     vector.  Reduction always targets the lowest set bit, so coordinates
-    are deterministic given the input order.
+    are deterministic given the input order.  `n`, the vector length, is
+    needed only when both lists are empty.
+
+    The table is built on Python integers, one per vector.  A vector's
+    coefficients on the table rows depend only on its bits at the pivots,
+    through the inverse of the table's unit-triangular pivot block; that
+    inverse, stacked over the rows that vanish exactly on the table's span,
+    turns coordinates of many vectors into one product.
     """
 
-    def __init__(self, cycles, boundaries):
+    def __init__(self, cycles, boundaries, n: int = 0):
         cycles = list(cycles)
         boundaries = list(boundaries)
-        self.n = cycles[0].n if cycles else (boundaries[0].n if boundaries else 0)
+        self.n = n = cycles[0].n if cycles else (boundaries[0].n if boundaries else n)
+        z = [int.from_bytes(v.words.tobytes(), "little") for v in cycles]
+        b = [int.from_bytes(v.words.tobytes(), "little") for v in boundaries]
 
-        # The boundaries must lie inside the cycle space: reduce each one
-        # against an echelon table built from the cycles alone.
-        cycle_table: dict[int, GF2Vector] = {}
-        for v in cycles:
-            _insert(cycle_table, v.copy())
-        for i, v in enumerate(boundaries):
-            if not _reduces_to_zero(cycle_table, v):
+        # The boundaries must lie inside the cycle space.
+        span: dict[int, int] = {}
+        for v in z:
+            _insert(span, v)
+        for i, v in enumerate(b):
+            if _insert(span, v):
                 raise MembershipError(f"boundary {i} is not in the span of the cycles")
 
-        self._table: dict[int, tuple[GF2Vector, int | None]] = {}
-        self._reps: list[GF2Vector] = []
-        for v in boundaries:
-            red = self._reduce(v.copy())
-            if red is not None:
-                self._table[red.lowest_set_bit()] = (red, None)
-        for v in cycles:
-            red = self._reduce(v.copy())
-            if red is not None:
-                q = len(self._reps)
-                self._reps.append(red.copy())
-                self._table[red.lowest_set_bit()] = (red, q)
+        table: dict[int, int] = {}  # lowest set bit -> stored row
+        for v in b:
+            _insert(table, v)
+        reps = [r for r in (_insert(table, v) for v in z) if r]
+        self.dim = len(reps)
+        # Columns are the representatives, in quotient basis order.
+        self.representatives = GF2Matrix(self.dim, n, _words(reps, n)).transpose()
 
-    def _reduce(self, v: GF2Vector) -> GF2Vector | None:
-        while True:
-            p = v.lowest_set_bit()
-            if p is None:
-                return None
-            hit = self._table.get(p)
-            if hit is None:
-                return v
-            v.ixor(hit[0])
-
-    @property
-    def dim(self) -> int:
-        return len(self._reps)
+        # Table rows: the quotient basis, then the boundary rows.  Going
+        # down from the highest pivot, the coefficients that pick out pivot
+        # p are p's own row plus those of the other pivots its row hits.
+        rows = reps + list(table.values())[: len(table) - len(reps)]
+        index = {r & -r: j for j, r in enumerate(rows)}
+        mask = sum(index)
+        coeffs: dict[int, int] = {}
+        for low in sorted(index, reverse=True):
+            c, rest = 1 << index[low], (table[low] & mask) ^ low
+            while rest:
+                hit = rest & -rest
+                c ^= coeffs[hit]
+                rest ^= hit
+            coeffs[low] = c
+        self._rank = m = len(rows)
+        pivots = [low.bit_length() - 1 for low in coeffs]
+        solve_t = GF2Matrix(n, m)
+        solve_t.words[pivots] = _words(coeffs.values(), m)
+        solve = solve_t.transpose()
+        # v - table^T (solve v) is zero at the pivots; elsewhere it must vanish.
+        check = GF2Matrix(m, n, _words(rows, n)).transpose() @ solve
+        check.words ^= GF2Matrix.identity(n).words
+        self._free = _others(n, pivots)
+        self._apply = GF2Matrix(n, n, np.vstack([solve.words, check.words[self._free]]))
 
     def representative(self, q: int) -> GF2Vector:
         """A cycle representative of the q-th quotient basis class."""
-        return self._reps[q].copy()
+        return self.representatives.column(q)
 
-    def coordinates(self, v: GF2Vector) -> GF2Vector:
+    def coordinates(self, v):
         """Quotient coordinates of the class of v.
 
-        Raises MembershipError when v is not in the cycle span, which
+        v is a GF2Vector, or a GF2Matrix whose columns are the vectors;
+        then the result's columns are their coordinates.  Raises
+        MembershipError when a vector is not in the cycle span, which
         upstream means a broken chain map.
         """
-        v = v.copy()
-        coeffs = GF2Vector.zeros(self.dim)
-        while True:
-            p = v.lowest_set_bit()
-            if p is None:
-                return coeffs
-            hit = self._table.get(p)
-            if hit is None:
-                raise MembershipError(f"vector has unreducible bit {p}; not in the cycle span")
-            v.ixor(hit[0])
-            if hit[1] is not None:
-                coeffs.set(hit[1], coeffs.get(hit[1]) ^ 1)
+        vs = v if isinstance(v, GF2Matrix) else GF2Matrix.from_bool_array(_unpack(v.words, v.n)[:, None])
+        out = self._apply @ vs
+        residual = _unpack(out.words[self._rank :], vs.cols)
+        if residual.any():
+            col = np.flatnonzero(residual.any(axis=0))[0]
+            bit = self._free[np.flatnonzero(residual[:, col])[0]]
+            raise MembershipError(f"vector has unreducible bit {bit}; not in the cycle span")
+        coords = GF2Matrix(self.dim, vs.cols, out.words[: self.dim])
+        return coords if vs is v else coords.column(0)
 
 
-def _insert(table: dict[int, GF2Vector], v: GF2Vector) -> None:
-    while True:
-        p = v.lowest_set_bit()
-        if p is None:
-            return
-        if p not in table:
-            table[p] = v
-            return
-        v.ixor(table[p])
+def _insert(table: dict[int, int], v: int) -> int:
+    """Reduce v by the table entry at its lowest set bit until that bit is
+    free, then store it there; returns the stored row, or 0 if v vanished."""
+    while v:
+        low = v & -v
+        hit = table.get(low)
+        if hit is None:
+            table[low] = v
+            return v
+        v ^= hit
+    return 0
 
 
-def _reduces_to_zero(table: dict[int, GF2Vector], v: GF2Vector) -> bool:
-    v = v.copy()
-    while True:
-        p = v.lowest_set_bit()
-        if p is None:
-            return True
-        if p not in table:
-            return False
-        v.ixor(table[p])
+def _words(ints, cols: int) -> np.ndarray:
+    """Python integers (bit j is column j) packed as rows of uint64 words."""
+    ints = list(ints)
+    nbytes = _nwords(cols) * 8
+    blob = bytearray(b"".join(x.to_bytes(nbytes, "little") for x in ints))
+    return np.frombuffer(blob, dtype=np.uint64).reshape(len(ints), _nwords(cols))
 
 
 def coset_coordinates(cycles, boundaries, v: GF2Vector) -> GF2Vector:

@@ -250,13 +250,9 @@ def cohomology_quotients(cx: CochainComplex) -> list[QuotientSpace]:
     top = cx.max_rank
     out = []
     for k in range(top + 1):
-        if k < top:
-            cycles = cx.differentials[k].nullspace_basis()
-        else:
-            dim = cx.level_dims[k]
-            cycles = GF2Matrix.zeros(0, dim).nullspace_basis()
+        kernel = cx.differentials[k] if k < top else GF2Matrix.zeros(0, cx.level_dims[k])
         boundaries = cx.differentials[k - 1].columns() if k > 0 else []
-        out.append(QuotientSpace(cycles, boundaries))
+        out.append(QuotientSpace(kernel.nullspace_basis(), boundaries, cx.level_dims[k]))
     return out
 
 
@@ -265,24 +261,22 @@ def induced_map_from(
     source_quotients: list[QuotientSpace] | None = None,
     target_quotients: list[QuotientSpace] | None = None,
 ) -> list[GF2Matrix]:
-    """Matrices on cohomology in the deterministic quotient bases."""
+    """Matrices on cohomology in the deterministic quotient bases.
+
+    Per level, one product maps every source representative at once, and
+    the target quotient reads off all their coordinates together.
+    """
     qx = source_quotients or cohomology_quotients(cm.source)
     qy = target_quotients or cohomology_quotients(cm.target)
     out = []
     for k in range(cm.source.max_rank + 1):
-        mat = GF2Matrix.zeros(qy[k].dim, qx[k].dim)
-        for q in range(qx[k].dim):
-            image = cm.blocks[k].mul_vector(qx[k].representative(q))
-            try:
-                coords = qy[k].coordinates(image)
-            except MembershipError as exc:
-                raise ConsistencyError(
-                    f"level {k}: a cycle image left the target cycle space, "
-                    "so the map is not a chain map"
-                ) from exc
-            for r in coords.support():
-                mat._set(r, q)
-        out.append(mat)
+        try:
+            out.append(qy[k].coordinates(cm.blocks[k] @ qx[k].representatives))
+        except MembershipError as exc:
+            raise ConsistencyError(
+                f"level {k}: a cycle image left the target cycle space, "
+                "so the map is not a chain map"
+            ) from exc
     return out
 
 

@@ -119,15 +119,24 @@ _TORUS2 = json.loads(format_diagram(torus_two_n(2)))
         ("diagram", {**_TORUS2, "free_loops": True}),
         ("diagram", {**_TORUS2, "crossings": [
             {"zero": [[4.9, 1], [2, 3]], "one": [[4.9, 2], [1, 3]]}, *_TORUS2["crossings"][1:]]}),
+        # nonpositive sizes are refused before any work, not reported later
+        pytest.param("matrix --budget 0", {"matrix": [[1, 2], [3, 4]]}, id="budget-zero"),
+        pytest.param("matrix --budget -1", {"matrix": [[1, 2], [3, 4]]}, id="budget-negative"),
+        pytest.param("torus --n -1 --x 1", None, id="torus-n-negative"),
     ],
 )
 def test_malformed_numbers_exit_1(capsys, tmp_path, command, payload):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
-    extra = {"matrix": [], "zmap": ["--n", "2"], "diagram": ["--x", "1,2"]}[command]
-    code, out, err = run(capsys, command, "--file", str(path), *extra)
+    command, *argv = command.split()
+    if payload is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        extra = {"matrix": [], "zmap": ["--n", "2"], "diagram": ["--x", "1,2"]}[command]
+        argv += ["--file", str(path), *extra]
+    code, out, err = run(capsys, command, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    if argv[0] != "--file":
+        assert "must be a positive integer" in err
 
 
 def test_budget_error_exits_1(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vandercomplex import MembershipError, ValidationError
+from vandercomplex import gf2
 from vandercomplex.gf2 import GF2Matrix, GF2Vector, QuotientSpace, coset_coordinates
 
 
@@ -37,10 +38,84 @@ def naive_mul(a_rows, b_rows):
     return out
 
 
+def naive_nullspace(rows, ncols):
+    """Reference kernel basis: one vector per free column of the (unique) rref."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [(a ^ b) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = rows[r][f]
+        basis.append(v)
+    return basis
+
+
+def naive_quotient(cycles, boundaries):
+    """Reference quotient: boundaries, then cycles, each reduced by lowest set
+    bit against the rows stored so far; returns the representatives and a
+    coordinates function (None for a vector outside the cycle span)."""
+    table, reps = {}, []
+
+    def reduce(v, coeffs):
+        while any(v):
+            p = v.index(1)
+            if p not in table:
+                return v, p
+            row, q = table[p]
+            v = [a ^ b for a, b in zip(v, row)]
+            if q is not None and coeffs is not None:
+                coeffs[q] ^= 1
+        return None, None
+
+    for v in boundaries:
+        red, p = reduce(v, None)
+        if red:
+            table[p] = (red, None)
+    for v in cycles:
+        red, p = reduce(v, None)
+        if red:
+            table[p] = (red, len(reps))
+            reps.append(red)
+
+    def coordinates(v):
+        coeffs = [0] * len(reps)
+        return None if reduce(v, coeffs)[0] else coeffs
+
+    return reps, coordinates
+
+
 def random_matrix(rng, rows, cols, density=0.5):
+    if rows == 0:  # from_rows cannot tell the width of no rows
+        return GF2Matrix.zeros(0, cols)
     return GF2Matrix.from_rows(
         [[1 if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
     )
+
+
+# Widths at and around the 64-bit word boundary, and the shapes built from
+# them (including zero rows), for the tests against naive references.
+WIDTHS = (0, 1, 63, 64, 65, 130)
+SHAPES = [(r, c) for r in (0, 1, 65) for c in WIDTHS] + [(130, 63), (64, 130)]
+
+
+def assert_padding_clear(words, width):
+    """Bits past `width` in the last word stay zero."""
+    words = np.atleast_2d(words)
+    assert words.shape[-1] == (width + 63) // 64
+    if width % 64:
+        assert not (words[:, -1] >> np.uint64(width % 64)).any()
 
 
 def test_rank_examples():
@@ -85,6 +160,16 @@ def test_nullspace_examples():
     assert [v.to_bits() for v in basis] == [[1, 1]]
     assert GF2Matrix.identity(5).nullspace_basis() == []
     assert len(GF2Matrix.zeros(2, 3).nullspace_basis()) == 3
+    # exact vectors, not just the kernel property
+    rng = random.Random(7)
+    for rows, cols in SHAPES:
+        for density in (0.05, 0.5):
+            m = random_matrix(rng, rows, cols, density)
+            basis = m.nullspace_basis()
+            assert [v.to_bits() for v in basis] == naive_nullspace(m.to_rows(), cols)
+            for v in basis:
+                assert v.n == cols
+                assert_padding_clear(v.words, cols)
 
 
 def test_nullspace_properties():
@@ -101,7 +186,7 @@ def test_nullspace_properties():
             assert stacked.rank() == len(basis)
 
 
-def test_matmul_and_mul_vector_against_naive():
+def test_matmul_and_mul_vector_against_naive(monkeypatch):
     rng = random.Random(4)
     for _ in range(20):
         a = random_matrix(rng, rng.randint(1, 30), rng.randint(1, 30))
@@ -110,6 +195,24 @@ def test_matmul_and_mul_vector_against_naive():
         v = GF2Vector.from_bits([rng.randint(0, 1) for _ in range(a.cols)])
         expected = [sum(r * x for r, x in zip(row, v.to_bits())) % 2 for row in a.to_rows()]
         assert a.mul_vector(v).to_bits() == expected
+    # word-boundary widths, zero rows, sparse and dense left factors
+    for i, (rows, inner) in enumerate(SHAPES):
+        cols = WIDTHS[i % len(WIDTHS)]
+        a = random_matrix(rng, rows, inner, (0.02, 0.5, 1.0)[i % 3])
+        b = random_matrix(rng, inner, cols)
+        prod = a @ b
+        assert (prod.rows, prod.cols) == (rows, cols)
+        assert prod.to_rows() == (naive_mul(a.to_rows(), b.to_rows()) if inner else [[0] * cols] * rows)
+        assert_padding_clear(prod.words, cols)
+        # the same product in chunks of a few words, rows cut between chunks
+        with monkeypatch.context() as patch:
+            patch.setattr(gf2, "CHUNK_WORDS", 1)
+            assert a @ b == prod
+        v = GF2Vector.from_bits([rng.randint(0, 1) for _ in range(inner)])
+        image = a.mul_vector(v)
+        assert image.to_bits() == [sum(r * x for r, x in zip(row, v.to_bits())) % 2 for row in a.to_rows()]
+        assert image.n == rows
+        assert_padding_clear(image.words, rows)
 
 
 def test_compose_is_zero():
@@ -139,6 +242,22 @@ def test_column_row_access():
     assert m.column(2).to_bits() == [1, 1]
     assert m.row(0).to_bits() == [1, 0, 1]
     assert m.get(1, 1) == 1 and m.get(1, 0) == 0
+    rng = random.Random(8)
+    for rows, cols in SHAPES:
+        m = random_matrix(rng, rows, cols)
+        bits = m.to_rows()
+        assert_padding_clear(m.words, cols)
+        assert bits == [[m.get(i, j) for j in range(cols)] for i in range(rows)]
+        assert GF2Matrix.from_rows(bits) == m or rows == 0
+        columns = m.columns()
+        assert len(columns) == cols
+        for j, c in enumerate(columns):
+            assert c == m.column(j)
+            assert c.to_bits() == [row[j] for row in bits]
+            assert_padding_clear(c.words, rows)
+        ident = GF2Matrix.identity(cols)
+        assert ident.to_rows() == [[int(i == j) for j in range(cols)] for i in range(cols)]
+        assert_padding_clear(ident.words, cols)
 
 
 def test_vector_support_and_bits():
@@ -146,6 +265,15 @@ def test_vector_support_and_bits():
     assert v.support() == [1, 4, 5]
     assert v.lowest_set_bit() == 1
     assert GF2Vector.zeros(70).lowest_set_bit() is None
+    rng = random.Random(9)
+    for n in WIDTHS:
+        bits = [rng.randint(0, 1) for _ in range(n)]
+        v = GF2Vector.from_bits(bits)
+        assert v.n == n and v.to_bits() == bits
+        assert v.support() == [i for i, b in enumerate(bits) if b]
+        assert_padding_clear(v.words, n)
+        # only the low bit of each entry counts
+        assert GF2Vector.from_bits(b + 2 for b in bits) == v
 
 
 def test_coset_coordinates_trivial_quotient():
@@ -193,3 +321,28 @@ def test_quotient_space_consistency():
         for idx in range(q.dim):
             coords = q.coordinates(q.representative(idx))
             assert coords.support() == [idx]
+    # against the row-by-row reference, dependent inputs and word-boundary widths
+    for n in WIDTHS[1:]:
+        cycles = [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(1, 12))]
+        cycles += [[a ^ b for a, b in zip(cycles[0], cycles[-1])]]
+        boundaries = [
+            [sum(bits) % 2 for bits in zip(*rng.sample(cycles, rng.randint(1, len(cycles))))]
+            for _ in range(rng.randint(0, 4))
+        ]
+        reps, coordinates = naive_quotient(cycles, boundaries)
+        q = QuotientSpace(map(GF2Vector.from_bits, cycles), map(GF2Vector.from_bits, boundaries))
+        assert q.dim == len(reps)
+        assert [q.representative(i).to_bits() for i in range(q.dim)] == reps
+        probes = [[rng.randint(0, 1) for _ in range(n)] for _ in range(6)] + [
+            [sum(bits) % 2 for bits in zip(*rng.sample(cycles, rng.randint(1, len(cycles))))]
+            for _ in range(6)
+        ]
+        inside = [v for v in probes if coordinates(v) is not None]
+        for v in probes:
+            if coordinates(v) is None:
+                with pytest.raises(MembershipError):
+                    q.coordinates(GF2Vector.from_bits(v))
+            else:
+                assert q.coordinates(GF2Vector.from_bits(v)).to_bits() == coordinates(v)
+        batch = q.coordinates(GF2Matrix.from_rows(inside).transpose())
+        assert batch.transpose().to_rows() == [coordinates(v) for v in inside]
