@@ -277,14 +277,17 @@ def build_complex(
 
 def cochain_dims(d: LinkDiagram, x, *, n_cap: int = DEFAULT_N_CAP) -> list[int]:
     """Level dimensions straight from the dimension formula, no matrices."""
-    xs = validate_colors(x)
-    n = d.n
+    return _level_dims(validate_colors(x), s_vector(d), n_cap)
+
+
+def _level_dims(xs: ColorVector, s, n_cap: int) -> list[int]:
+    """cochain_dims for validated colors and the diagram's s-vector."""
+    n = len(s)
     if len(xs) != n:
         raise PreconditionError(
             f"color vector length {len(xs)} does not match crossing count {n}"
         )
     poset = build_bruhat(n, cap=n_cap)
-    s = s_vector(d)
     return [
         sum(prod(xs[i] ** s[p[i] - 1] for i in range(n)) for p in level)
         for level in poset.levels
@@ -386,7 +389,7 @@ def verify_euler(
     t0 = perf_counter()
     xs = validate_colors(x)
     s = s_vector(d)
-    dims = cochain_dims(d, xs, n_cap=n_cap)
+    dims = _level_dims(xs, s, n_cap)
     hom = None
     if not skip_homology:
         check_budget(dims, budget)

@@ -2,16 +2,24 @@
 
 Matrices are dense bit matrices packed row-major into 64-bit words, so a
 row operation is a handful of word XORs and elimination runs at memory
-speed through numpy.  Packing, products, kernels and quotient coordinates
-are whole-array operations; no loop runs over single bits.  Everything
-here is deterministic: pivots are chosen as the first nonzero row at the
-lowest row index, and quotient coordinates always reduce against the
-lowest set bit first, so identical inputs give identical output bits on
-every run.
+speed through numpy.  Packing, transposes, products and quotient
+coordinates are whole-array operations; no loop runs over single bits.
+Everything here is deterministic: pivots are chosen as the first nonzero
+row at the lowest row index, and quotient coordinates always reduce
+against the lowest set bit first, so identical inputs give identical
+output bits on every run.
+
+Reductions that build tables run on Python integers, one per vector, each
+reduced by the stored row at its lowest set bit: `reduce_columns` reduces
+a differential's columns once, giving both its kernel basis and the
+boundary table of the next level, and `QuotientSpace` inserts its cycles
+the same way.
 
 Vectors carry their own packed words.  Matrix values are treated as
 immutable by the rest of the package; rank and reduction work on private
-copies.
+copies.  A matrix that has been the left factor of a product keeps the
+positions of its set bits for the next one, and its words are then
+read-only.
 """
 
 import numpy as np
@@ -49,6 +57,14 @@ def _others(n: int, taken) -> np.ndarray:
     keep = np.ones(n, dtype=bool)
     keep[taken] = False
     return np.flatnonzero(keep)
+
+
+def _bit_positions(r: np.ndarray, w: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of each set bit of the words vals at rows r and word
+    columns w, in the order of the words and then of the bits."""
+    bits = np.unpackbits(vals.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    k, b = np.nonzero(bits)
+    return r[k], (w[k] << 6) + b
 
 
 def _unpack(words: np.ndarray, cols: int) -> np.ndarray:
@@ -115,7 +131,7 @@ class GF2Matrix:
     rows can be combined with word operations.
     """
 
-    __slots__ = ("rows", "cols", "words")
+    __slots__ = ("rows", "cols", "words", "_support")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray | None = None):
         if rows < 0 or cols < 0:
@@ -131,6 +147,7 @@ class GF2Matrix:
         self.rows = rows
         self.cols = cols
         self.words = words
+        self._support = None  # set by the first product that fits one chunk
 
     # -- construction -------------------------------------------------
 
@@ -219,7 +236,15 @@ class GF2Matrix:
         return GF2Matrix.from_bool_array(_unpack(self.words[r0:r1], c1)[:, c0:])
 
     def transpose(self) -> "GF2Matrix":
-        return GF2Matrix.from_bool_array(self.to_bool_array().T)
+        """Sparse matrices move their set bits; dense ones go through bytes."""
+        # below one set bit in 128, moving bits beats unpacking every bit
+        if int(np.bitwise_count(self.words).sum()) * 128 >= self.rows * self.cols:
+            return GF2Matrix.from_bool_array(self.to_bool_array().T)
+        r, w = np.nonzero(self.words)
+        rows, cols = _bit_positions(r, w, self.words[r, w])
+        out = GF2Matrix(self.cols, self.rows)
+        np.bitwise_or.at(out.words, (cols, rows >> 6), _U64_1 << (rows & 63).astype(np.uint64))
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GF2Matrix):
@@ -247,32 +272,43 @@ class GF2Matrix:
 
         The selected (row, column) pairs are read off self's nonzero words,
         in chunks of whole words that keep the temporaries near CHUNK_WORDS.
+        When they fit one chunk they are kept for self's next product, and
+        self's words are made read-only so the kept pairs cannot go stale.
         """
         if self.cols != other.rows:
             raise ValidationError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         out = GF2Matrix(self.rows, other.cols)
-        r, w = np.nonzero(self.words)
-        vals = self.words[r, w]
         # a pair gathers one row of other and keeps four index words
         budget = max(64, CHUNK_WORDS // (other.words.shape[1] + 4))
+        kept = self._support
+        chunks = [kept] if kept is not None and kept[0].size <= budget else self._chunks(budget)
+        for gather, starts, targets in chunks:
+            # a row cut between two chunks gets both parts XORed in
+            out.words[targets] ^= np.bitwise_xor.reduceat(other.words[gather], starts, axis=0)
+        return out
+
+    def _chunks(self, budget: int):
+        """Yield self's set bits as (column, first pair of each row, row)
+        arrays, in chunks of whole words of at most `budget` pairs each (or
+        one word).  A matrix that fits one chunk keeps it in _support."""
+        r, w = np.nonzero(self.words)
+        vals = self.words[r, w]
         cuts = [0, r.size]
         if r.size * 64 > budget:
             pairs = np.cumsum(np.bitwise_count(vals), dtype=np.int64)
             cuts = [0, *np.searchsorted(pairs, np.arange(budget, pairs[-1], budget), side="right"), r.size]
         for lo, hi in zip(cuts, cuts[1:]):
-            bits = np.unpackbits(vals[lo:hi].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-            k, b = np.nonzero(bits)
-            rows = r[lo:hi][k]
+            rows, cols = _bit_positions(r[lo:hi], w[lo:hi], vals[lo:hi])
             first = np.ones(rows.size, dtype=bool)
             np.not_equal(rows[1:], rows[:-1], out=first[1:])
             starts = np.flatnonzero(first)
-            # a row cut between two chunks gets both parts XORed in
-            out.words[rows[starts]] ^= np.bitwise_xor.reduceat(
-                other.words[(w[lo:hi][k] << 6) + b], starts, axis=0
-            )
-        return out
+            chunk = (cols, starts, rows[starts])
+            if len(cuts) == 2:
+                self._support = chunk
+                self.words.flags.writeable = False
+            yield chunk
 
     def compose_is_zero(self, other: "GF2Matrix") -> bool:
         """True iff self @ other is the zero matrix, without storing it."""
@@ -350,22 +386,30 @@ class QuotientSpace:
     Boundaries are inserted first, then the cycles in their given order;
     each cycle that contributes a new pivot becomes a quotient basis
     vector.  Reduction always targets the lowest set bit, so coordinates
-    are deterministic given the input order.  `n`, the vector length, is
-    needed only when both lists are empty.
+    are deterministic given the input order.  The boundaries must lie in
+    the span of the cycles.
+
+    Vectors are GF2Vectors or Python integers (bit j is entry j).  `n`, the
+    vector length, is needed for integers and when both lists are empty.
+    `boundaries` may also be the table that inserting them builds, {lowest
+    set bit: stored row} in insertion order, as `reduce_columns` returns it
+    for the columns of a differential.
 
     The table is built on Python integers, one per vector.  A vector's
     coefficients on the table rows depend only on its bits at the pivots,
-    through the inverse of the table's unit-triangular pivot block; that
-    inverse, stacked over the rows that vanish exactly on the table's span,
-    turns coordinates of many vectors into one product.
+    through the inverse of the table's unit-triangular pivot block.  The
+    rows of that inverse for the quotient basis, stacked over the rows that
+    vanish exactly on the table's span, turn coordinates of many vectors
+    into one product.
     """
 
     def __init__(self, cycles, boundaries, n: int = 0):
         cycles = list(cycles)
-        boundaries = list(boundaries)
-        self.n = n = cycles[0].n if cycles else (boundaries[0].n if boundaries else n)
-        z = [int.from_bytes(v.words.tobytes(), "little") for v in cycles]
-        b = [int.from_bytes(v.words.tobytes(), "little") for v in boundaries]
+        prebuilt = boundaries if isinstance(boundaries, dict) else None
+        boundaries = list(boundaries.values() if prebuilt is not None else boundaries)
+        self.n = n = next((v.n for v in cycles + boundaries if isinstance(v, GF2Vector)), n)
+        z = [_int(v) for v in cycles]
+        b = [_int(v) for v in boundaries]
 
         # The boundaries must lie inside the cycle space.
         span: dict[int, int] = {}
@@ -376,8 +420,11 @@ class QuotientSpace:
                 raise MembershipError(f"boundary {i} is not in the span of the cycles")
 
         table: dict[int, int] = {}  # lowest set bit -> stored row
-        for v in b:
-            _insert(table, v)
+        if prebuilt is not None:
+            table.update(prebuilt)
+        else:
+            for v in b:
+                _insert(table, v)
         reps = [r for r in (_insert(table, v) for v in z) if r]
         self.dim = len(reps)
         # Columns are the representatives, in quotient basis order.
@@ -397,16 +444,18 @@ class QuotientSpace:
                 c ^= coeffs[hit]
                 rest ^= hit
             coeffs[low] = c
-        self._rank = m = len(rows)
+        m = len(rows)
         pivots = [low.bit_length() - 1 for low in coeffs]
         solve_t = GF2Matrix(n, m)
         solve_t.words[pivots] = _words(coeffs.values(), m)
         solve = solve_t.transpose()
-        # v - table^T (solve v) is zero at the pivots; elsewhere it must vanish.
-        check = GF2Matrix(m, n, _words(rows, n)).transpose() @ solve
-        check.words ^= GF2Matrix.identity(n).words
-        self._free = _others(n, pivots)
-        self._apply = GF2Matrix(n, n, np.vstack([solve.words, check.words[self._free]]))
+        # v - table^T (solve v) is zero at the pivots; the rows of it at the
+        # other positions must vanish.
+        self._free = free = _others(n, pivots)
+        rows_t = GF2Matrix(m, n, _words(rows, n)).transpose()
+        check = GF2Matrix(free.size, m, rows_t.words[free]) @ solve
+        check.words[np.arange(free.size), free >> 6] ^= _U64_1 << (free & 63).astype(np.uint64)
+        self._apply = GF2Matrix(self.dim + free.size, n, np.vstack([solve.words[: self.dim], check.words]))
 
     def representative(self, q: int) -> GF2Vector:
         """A cycle representative of the q-th quotient basis class."""
@@ -422,7 +471,7 @@ class QuotientSpace:
         """
         vs = v if isinstance(v, GF2Matrix) else GF2Matrix.from_bool_array(_unpack(v.words, v.n)[:, None])
         out = self._apply @ vs
-        residual = _unpack(out.words[self._rank :], vs.cols)
+        residual = _unpack(out.words[self.dim :], vs.cols)
         if residual.any():
             col = np.flatnonzero(residual.any(axis=0))[0]
             bit = self._free[np.flatnonzero(residual[:, col])[0]]
@@ -442,6 +491,47 @@ def _insert(table: dict[int, int], v: int) -> int:
             return v
         v ^= hit
     return 0
+
+
+def _int(v) -> int:
+    """A GF2Vector or an int as an int, bit j being entry j."""
+    return v if isinstance(v, int) else int.from_bytes(v.words.tobytes(), "little")
+
+
+def reduce_columns(m: GF2Matrix) -> tuple[list[int], dict[int, int]]:
+    """Reduce m's columns once, in order, by the lowest set bit.
+
+    Column j carries the tag 1 << j, and every reduction step XORs in the
+    tag of the stored column it uses.  Returns the tags of the columns
+    that vanish, which is the kernel basis `nullspace_basis` gives (the tag
+    of free column j is supported on j and earlier pivot columns, and that
+    kernel vector is unique), and the stored columns, which are the table
+    a QuotientSpace builds from m's columns as boundaries.
+    """
+    table: dict[int, int] = {}  # lowest set bit -> stored column
+    tags: dict[int, int] = {}
+    kernel = []
+    for j, v in enumerate(_ints(m.transpose().words)):
+        t = 1 << j
+        while v:
+            low = v & -v
+            hit = table.get(low)
+            if hit is None:
+                table[low] = v
+                tags[low] = t
+                break
+            v ^= hit
+            t ^= tags[low]
+        else:
+            kernel.append(t)
+    return kernel, table
+
+
+def _ints(words: np.ndarray) -> list[int]:
+    """Each row of packed words as an int, bit j being column j."""
+    nbytes = words.shape[1] * 8
+    blob = words.tobytes()
+    return [int.from_bytes(blob[i * nbytes : (i + 1) * nbytes], "little") for i in range(len(words))]
 
 
 def _words(ints, cols: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
     strict_int,
 )
-from .gf2 import GF2Matrix, QuotientSpace
+from .gf2 import GF2Matrix, QuotientSpace, reduce_columns
 from .linkdiag import LinkDiagram
 
 
@@ -243,16 +243,21 @@ def chain_map(
 def cohomology_quotients(cx: CochainComplex) -> list[QuotientSpace]:
     """Cycle-mod-boundary coordinate systems, one per level.
 
-    Expensive relative to a single chain map, so callers comparing many
-    morphisms over the same complex should build these once and pass them
-    to induced_map_from.
+    Each differential is reduced once: the columns of d^k that vanish give
+    the cycles of level k, and the columns it stores are the boundary table
+    of level k+1.  Expensive relative to a single chain map, so callers
+    comparing many morphisms over the same complex should build these once
+    and pass them to induced_map_from.
     """
-    top = cx.max_rank
     out = []
-    for k in range(top + 1):
-        kernel = cx.differentials[k] if k < top else GF2Matrix.zeros(0, cx.level_dims[k])
-        boundaries = cx.differentials[k - 1].columns() if k > 0 else []
-        out.append(QuotientSpace(kernel.nullspace_basis(), boundaries, cx.level_dims[k]))
+    table: dict[int, int] = {}
+    for k, n in enumerate(cx.level_dims):
+        if k < cx.max_rank:
+            cycles, next_table = reduce_columns(cx.differentials[k])
+        else:
+            cycles, next_table = [1 << j for j in range(n)], {}
+        out.append(QuotientSpace(cycles, table, n))
+        table = next_table
     return out
 
 

@@ -215,6 +215,74 @@ def test_matmul_and_mul_vector_against_naive(monkeypatch):
         assert_padding_clear(image.words, rows)
 
 
+def test_matmul_keeps_left_support(monkeypatch):
+    # one left factor against right factors of several widths: the first
+    # product keeps its support, later ones reuse it or, when it does not
+    # fit their chunk, chunk the words again
+    rng = random.Random(14)
+    lefts = [random_matrix(rng, 65, 130, 0.3), random_matrix(rng, 9, 70, 0.05)]
+    lefts += [GF2Matrix.zeros(7, 65), GF2Matrix.zeros(0, 5), GF2Matrix.zeros(4, 0)]
+    for a in lefts:
+        rights = [random_matrix(rng, a.cols, c) for c in (1, 64, 130, 0)]
+        rights += [GF2Matrix.zeros(a.cols, 65)]
+        for chunk_words in (gf2.CHUNK_WORDS, 1, gf2.CHUNK_WORDS):
+            with monkeypatch.context() as patch:
+                patch.setattr(gf2, "CHUNK_WORDS", chunk_words)
+                for b in rights:
+                    prod = a @ b
+                    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+                    expected = naive_mul(a.to_rows(), b.to_rows()) if a.cols else [[0] * b.cols] * a.rows
+                    assert prod.to_rows() == expected
+                    assert_padding_clear(prod.words, b.cols)
+        assert a._support is not None
+
+
+def test_words_read_only_after_product(monkeypatch):
+    rng = random.Random(15)
+    a = random_matrix(rng, 20, 70)
+    b = random_matrix(rng, 70, 10)
+    a @ b
+    assert not a.words.flags.writeable
+    with pytest.raises(ValueError):
+        a.words[0, 0] = 1
+    with pytest.raises(ValueError):
+        a.words ^= a.words
+    assert b.words.flags.writeable and (a @ b).words.flags.writeable
+    # a left factor too large for one chunk keeps nothing and stays writable
+    with monkeypatch.context() as patch:
+        patch.setattr(gf2, "CHUNK_WORDS", 1)
+        big = random_matrix(rng, 20, 70)
+        assert (big @ b).to_rows() == naive_mul(big.to_rows(), b.to_rows())
+        assert big.words.flags.writeable
+
+
+def test_transpose_against_naive():
+    rng = random.Random(16)
+    for rows, cols in SHAPES:
+        for density in (0.002, 0.02, 0.5):
+            m = random_matrix(rng, rows, cols, density)
+            t = m.transpose()
+            assert (t.rows, t.cols) == (cols, rows)
+            assert t.to_rows() == [[row[j] for row in m.to_rows()] for j in range(cols)]
+            assert_padding_clear(t.words, rows)
+
+
+def test_reduce_columns_against_nullspace_and_boundary_table():
+    # the vanishing columns' tags are the kernel basis, and the stored
+    # columns are the table a quotient builds from the columns as boundaries
+    rng = random.Random(17)
+    for i, (rows, cols) in enumerate(SHAPES + [(40, 90), (90, 40)]):
+        m = random_matrix(rng, rows, cols, (0.05, 0.3, 0.7)[i % 3])
+        kernel, table = gf2.reduce_columns(m)
+        assert kernel == [sum(1 << j for j in v.support()) for v in m.nullspace_basis()]
+        whole = [1 << j for j in range(rows)]
+        ours = QuotientSpace(whole, table, rows)
+        ref = QuotientSpace(map(GF2Vector.from_bits, np.eye(rows, dtype=int).tolist()), m.columns(), rows)
+        assert ours.dim == ref.dim and ours.representatives == ref.representatives
+        probes = random_matrix(rng, rows, 5)
+        assert ours.coordinates(probes) == ref.coordinates(probes)
+
+
 def test_compose_is_zero():
     a = GF2Matrix.from_rows([[1, 1], [0, 0]])
     b = GF2Matrix.from_rows([[1, 0], [1, 0]])

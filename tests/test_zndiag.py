@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -7,7 +8,9 @@ from vandercomplex import (
     CompositionError,
     ConsistencyError,
     FormatError,
+    MembershipError,
     PreconditionError,
+    QuotientSpace,
     ValidationError,
     ZndiagMorphism,
     build_complex,
@@ -18,6 +21,7 @@ from vandercomplex import (
     induced_cohomology_map,
     induced_map_from,
     parse_morphism,
+    random_diagram,
     random_morphism,
     torus_two_n,
     validate_morphism,
@@ -211,3 +215,60 @@ def test_induced_rejects_broken_map():
     assert not mangled.commutes()
     with pytest.raises(ConsistencyError, match="cycle image"):
         induced_map_from(mangled)
+
+
+def nullspace_quotients(cx):
+    """The quotients from each level's kernel basis and the previous
+    differential's columns, each reduced separately."""
+    top = cx.max_rank
+    out = []
+    for k in range(top + 1):
+        kernel = cx.differentials[k] if k < top else GF2Matrix.zeros(0, cx.level_dims[k])
+        boundaries = cx.differentials[k - 1].columns() if k > 0 else []
+        out.append(QuotientSpace(kernel.nullspace_basis(), boundaries, cx.level_dims[k]))
+    return out
+
+
+def test_cohomology_quotients_match_nullspace_construction():
+    rng = random.Random(45)
+    for trial in range(12):
+        n = rng.randint(1, 4)
+        d = random_diagram(n, rng, free_loops=trial % 3)
+        x = tuple(rng.randint(1, 2) for _ in range(n))
+        cx = build_complex(d, x)
+        ours = cohomology_quotients(cx)
+        ref = nullspace_quotients(cx)
+        assert len(ours) == len(ref) == len(cx.level_dims)
+        for k, (q, r) in enumerate(zip(ours, ref)):
+            assert (q.n, q.dim) == (r.n, r.dim)
+            assert q.representatives == r.representatives
+            # random sums of kernel vectors: the same coordinates
+            dim = cx.level_dims[k]
+            kernel = (
+                cx.differentials[k].nullspace_basis()
+                if k < cx.max_rank
+                else [GF2Matrix.identity(dim).column(j) for j in range(dim)]
+            )
+            picks = [[rng.random() < 0.5 for _ in kernel] for _ in range(6)]
+            cycles = GF2Matrix.from_rows(
+                [[sum(p and v.get(i) for p, v in zip(pick, kernel)) % 2 for pick in picks] for i in range(dim)]
+            )
+            assert q.coordinates(cycles) == r.coordinates(cycles)
+            if k < cx.max_rank and any(not c.is_zero() for c in cx.differentials[k].columns()):
+                with pytest.raises(MembershipError):
+                    q.coordinates(GF2Matrix.identity(dim))
+
+
+def test_cohomology_quotients_reject_corrupted_differential():
+    # flip one bit of d^1 in a row of d^0's image, so d^1 d^0 != 0: the
+    # boundaries of level 1 leave its cycle space
+    cx = build_complex(torus_two_n(3), (1, 2, 2))
+    d0, d1, *rest = cx.differentials
+    c = next(i for i, row in enumerate(d0.to_rows()) if any(row))
+    bits = d1.to_bool_array()
+    bits[0, c] ^= True
+    bad = GF2Matrix.from_bool_array(bits)
+    assert not bad.compose_is_zero(d0)
+    corrupted = dataclasses.replace(cx, differentials=(d0, bad, *rest))
+    with pytest.raises(MembershipError, match="not in the span of the cycles"):
+        cohomology_quotients(corrupted)
