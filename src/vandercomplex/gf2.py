@@ -2,12 +2,12 @@
 
 Matrices are dense bit matrices packed row-major into 64-bit words, so a
 row operation is a handful of word XORs and elimination runs at memory
-speed through numpy.  Packing, transposes, products and quotient
-coordinates are whole-array operations; no loop runs over single bits.
-Everything here is deterministic: pivots are chosen as the first nonzero
-row at the lowest row index, and quotient coordinates always reduce
-against the lowest set bit first, so identical inputs give identical
-output bits on every run.
+speed through numpy.  Packing, products, kernels and quotient coordinates
+are whole-array operations; no loop runs over single bits.  Everything
+here is deterministic: pivots are chosen as the first nonzero row at the
+lowest row index, and quotient coordinates always reduce against the
+lowest set bit first, so identical inputs give identical output bits on
+every run.
 
 Reductions that build tables run on Python integers, one per vector, each
 reduced by the stored row at its lowest set bit: `reduce_columns` reduces
@@ -57,14 +57,6 @@ def _others(n: int, taken) -> np.ndarray:
     keep = np.ones(n, dtype=bool)
     keep[taken] = False
     return np.flatnonzero(keep)
-
-
-def _bit_positions(r: np.ndarray, w: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, column) of each set bit of the words vals at rows r and word
-    columns w, in the order of the words and then of the bits."""
-    bits = np.unpackbits(vals.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    k, b = np.nonzero(bits)
-    return r[k], (w[k] << 6) + b
 
 
 def _unpack(words: np.ndarray, cols: int) -> np.ndarray:
@@ -236,15 +228,7 @@ class GF2Matrix:
         return GF2Matrix.from_bool_array(_unpack(self.words[r0:r1], c1)[:, c0:])
 
     def transpose(self) -> "GF2Matrix":
-        """Sparse matrices move their set bits; dense ones go through bytes."""
-        # below one set bit in 128, moving bits beats unpacking every bit
-        if int(np.bitwise_count(self.words).sum()) * 128 >= self.rows * self.cols:
-            return GF2Matrix.from_bool_array(self.to_bool_array().T)
-        r, w = np.nonzero(self.words)
-        rows, cols = _bit_positions(r, w, self.words[r, w])
-        out = GF2Matrix(self.cols, self.rows)
-        np.bitwise_or.at(out.words, (cols, rows >> 6), _U64_1 << (rows & 63).astype(np.uint64))
-        return out
+        return GF2Matrix.from_bool_array(self.to_bool_array().T)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GF2Matrix):
@@ -300,7 +284,9 @@ class GF2Matrix:
             pairs = np.cumsum(np.bitwise_count(vals), dtype=np.int64)
             cuts = [0, *np.searchsorted(pairs, np.arange(budget, pairs[-1], budget), side="right"), r.size]
         for lo, hi in zip(cuts, cuts[1:]):
-            rows, cols = _bit_positions(r[lo:hi], w[lo:hi], vals[lo:hi])
+            bits = np.unpackbits(vals[lo:hi].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+            k, b = np.nonzero(bits)
+            rows, cols = r[lo:hi][k], (w[lo:hi][k] << 6) + b
             first = np.ones(rows.size, dtype=bool)
             np.not_equal(rows[1:], rows[:-1], out=first[1:])
             starts = np.flatnonzero(first)
@@ -416,7 +402,7 @@ class QuotientSpace:
         for v in z:
             _insert(span, v)
         for i, v in enumerate(b):
-            if _insert(span, v):
+            if _insert(span, v)[0]:
                 raise MembershipError(f"boundary {i} is not in the span of the cycles")
 
         table: dict[int, int] = {}  # lowest set bit -> stored row
@@ -425,7 +411,7 @@ class QuotientSpace:
         else:
             for v in b:
                 _insert(table, v)
-        reps = [r for r in (_insert(table, v) for v in z) if r]
+        reps = [r for r, _ in (_insert(table, v) for v in z) if r]
         self.dim = len(reps)
         # Columns are the representatives, in quotient basis order.
         self.representatives = GF2Matrix(self.dim, n, _words(reps, n)).transpose()
@@ -480,17 +466,29 @@ class QuotientSpace:
         return coords if vs is v else coords.column(0)
 
 
-def _insert(table: dict[int, int], v: int) -> int:
+def _insert(
+    table: dict[int, int], v: int, tags: dict[int, int] | None = None, t: int = 0
+) -> tuple[int, int]:
     """Reduce v by the table entry at its lowest set bit until that bit is
-    free, then store it there; returns the stored row, or 0 if v vanished."""
+    free, then store it there.  Returns the stored row (0 if v vanished)
+    and t.
+
+    With `tags`, t is v's tag: it takes the XOR of the tag of every entry
+    used and is stored beside v, so a v that vanished returns the
+    combination of tags that sums to zero.
+    """
     while v:
         low = v & -v
         hit = table.get(low)
         if hit is None:
             table[low] = v
-            return v
+            if tags is not None:
+                tags[low] = t
+            return v, t
         v ^= hit
-    return 0
+        if tags is not None:
+            t ^= tags[low]
+    return 0, t
 
 
 def _int(v) -> int:
@@ -512,17 +510,8 @@ def reduce_columns(m: GF2Matrix) -> tuple[list[int], dict[int, int]]:
     tags: dict[int, int] = {}
     kernel = []
     for j, v in enumerate(_ints(m.transpose().words)):
-        t = 1 << j
-        while v:
-            low = v & -v
-            hit = table.get(low)
-            if hit is None:
-                table[low] = v
-                tags[low] = t
-                break
-            v ^= hit
-            t ^= tags[low]
-        else:
+        row, t = _insert(table, v, tags, 1 << j)
+        if not row:
             kernel.append(t)
     return kernel, table
 

@@ -256,17 +256,6 @@ def test_words_read_only_after_product(monkeypatch):
         assert big.words.flags.writeable
 
 
-def test_transpose_against_naive():
-    rng = random.Random(16)
-    for rows, cols in SHAPES:
-        for density in (0.002, 0.02, 0.5):
-            m = random_matrix(rng, rows, cols, density)
-            t = m.transpose()
-            assert (t.rows, t.cols) == (cols, rows)
-            assert t.to_rows() == [[row[j] for row in m.to_rows()] for j in range(cols)]
-            assert_padding_clear(t.words, rows)
-
-
 def test_reduce_columns_against_nullspace_and_boundary_table():
     # the vanishing columns' tags are the kernel basis, and the stored
     # columns are the table a quotient builds from the columns as boundaries
