@@ -12,7 +12,9 @@ colors whose smoothing does not change, and the connected merge-split map
 on the two colors that do.  Because the connected map only passes
 constant colorings through, each basis column has at most one output per
 cover edge, so the differentials assemble directly as sparse positions
-and pack into bit matrices at the end.
+and pack into bit matrices at the end.  One assembler does this for the
+matrix complexes of `gendet` as well, which swap in unit-after-counit, and
+the chain maps of `zndiag` are built from the same constant maps.
 
 Circle identity across different smoothings is never needed: a changed
 color factor depends only on the two circle counts.
@@ -22,16 +24,13 @@ on the colors (see `summands`); verify_euler takes its cohomology from
 them, and homology on a built complex is the dense check on that route.
 """
 
-import itertools
 from dataclasses import dataclass
-from math import prod
 from time import perf_counter
 
-from .bruhat import DEFAULT_N_CAP, BruhatPoset, Perm, build_bruhat, inversions, validate_perm
+from .bruhat import DEFAULT_N_CAP, Perm, build_bruhat, inversions, validate_perm
 from .errors import ConsistencyError, PreconditionError, SizeError, ValidationError, strict_int
-from .gf2 import GF2Matrix
+from .gf2 import GF2Matrix, _check_bytes
 from .linkdiag import DEFAULT_SMOOTHING_CAP, LinkDiagram, is_height_uniform, s_vector
-from .summands import homology_dims
 
 ColorVector = tuple[int, ...]
 
@@ -51,13 +50,12 @@ class BlockLayout:
 
     radices[t] is the number of colors available to digit t; slices[p]
     marks the digit range belonging to position p; weights[t] is the
-    mixed-radix place value of digit t.
+    mixed-radix place value of digit t, the first digit most significant.
     """
 
     radices: tuple[int, ...]
     slices: tuple[tuple[int, int], ...]
     weights: tuple[int, ...]
-    significance: tuple[int, ...]
     dim: int
 
     def position_weights(self, p: int) -> tuple[int, ...]:
@@ -67,10 +65,6 @@ class BlockLayout:
     def position_radix(self, p: int) -> int:
         a, b = self.slices[p]
         return self.radices[a] if b > a else 1
-
-    def digit_count(self, p: int) -> int:
-        a, b = self.slices[p]
-        return b - a
 
     def constant_weight(self, p: int) -> int:
         """Index step when all of position p's digits move together."""
@@ -87,14 +81,15 @@ class BlockLayout:
     def digits_of(self, index: int) -> tuple[tuple[int, ...], ...]:
         if index < 0 or index >= self.dim:
             raise ValidationError(f"basis index {index} out of range")
-        flat = [0] * len(self.radices)
-        for t in self.significance:
-            flat[t], index = divmod(index, self.weights[t])
+        flat = []
+        for w in self.weights:
+            d, index = divmod(index, w)
+            flat.append(d)
         return tuple(tuple(flat[a:b]) for a, b in self.slices)
 
 
-def make_layout(per_position_radix, per_position_count, order: str = "standard") -> BlockLayout:
-    """Lay out digits position by position; order flips digit significance."""
+def make_layout(per_position_radix, per_position_count) -> BlockLayout:
+    """Lay out digits position by position, the last digit least significant."""
     radices: list[int] = []
     slices: list[tuple[int, int]] = []
     for radix, count in zip(per_position_radix, per_position_count):
@@ -103,12 +98,10 @@ def make_layout(per_position_radix, per_position_count, order: str = "standard")
         slices.append((start, len(radices)))
     weights = [0] * len(radices)
     acc = 1
-    ascending = list(range(len(radices)) if order == "reversed" else reversed(range(len(radices))))
-    for t in ascending:
+    for t in reversed(range(len(radices))):
         weights[t] = acc
         acc *= radices[t]
-    significance = tuple(reversed(ascending))
-    return BlockLayout(tuple(radices), tuple(slices), tuple(weights), significance, acc)
+    return BlockLayout(tuple(radices), tuple(slices), tuple(weights), acc)
 
 
 @dataclass
@@ -174,29 +167,24 @@ def _identity_options(src: BlockLayout, tgt: BlockLayout, p: int) -> list[tuple[
     w_out = tgt.position_weights(p)
     assert len(w_in) == len(w_out), "identity factor with mismatched digit counts"
     radix = src.position_radix(p)
-    opts = []
-    for digits in itertools.product(range(radix), repeat=len(w_in)):
-        i = sum(d * w for d, w in zip(digits, w_in))
-        o = sum(d * w for d, w in zip(digits, w_out))
-        opts.append((i, o))
-    return opts
+    return _cover_pairs(_constant_options(radix, wi, wo) for wi, wo in zip(w_in, w_out))
 
 
-def _cover_pairs(n: int, options) -> list[tuple[int, int]]:
-    """Cartesian sum of per-position (input, output) index contributions."""
+def _constant_options(radix: int, w_in: int, w_out: int) -> list[tuple[int, int]]:
+    """Index contributions of a connected map: constant a in, constant a out.
+
+    A zero weight drops that side: (w, 0) is a cap, or unit-after-counit
+    sending every digit to digit 0, and (0, w) is a cup.
+    """
+    return [(a * w_in, a * w_out) for a in range(radix)]
+
+
+def _cover_pairs(factors) -> list[tuple[int, int]]:
+    """Cartesian sum of per-factor (input, output) index contributions."""
     pairs = [(0, 0)]
-    for p in range(n):
-        opts = options[p]
+    for opts in factors:
         pairs = [(i + di, o + do) for i, o in pairs for di, do in opts]
     return pairs
-
-
-def _merge_split_options(src: BlockLayout, tgt: BlockLayout, p: int) -> list[tuple[int, int]]:
-    """Contributions of a changed position: constant in, same constant out."""
-    radix = src.position_radix(p)
-    wi = src.constant_weight(p)
-    wo = tgt.constant_weight(p)
-    return [(a * wi, a * wo) for a in range(radix)]
 
 
 def check_budget(dims, budget: int) -> None:
@@ -206,20 +194,65 @@ def check_budget(dims, budget: int) -> None:
         raise SizeError(f"total dimension {total} exceeds the budget {budget}")
 
 
-def build_levels(poset: BruhatPoset, layout_for_perm):
-    """Shared level scaffolding: layouts, offsets, and dimensions."""
+def _assemble(
+    n: int, layout_for, changed, *, budget: int, n_cap: int, **fields
+) -> CochainComplex:
+    """The Bruhat-shaped complex of n positions, for link and matrix complexes alike.
+
+    layout_for(p) lays out the block of permutation p.  A cover edge is the
+    identity on the positions it keeps and changed(src_layout, tgt_layout, p)
+    on the two it swaps.  The basis budget and every differential's packed
+    size are checked before any coordinate is built.  fields go to the
+    CochainComplex as they are.
+    """
+    poset = build_bruhat(n, cap=n_cap)
     layouts: dict[Perm, BlockLayout] = {}
     offsets: dict[Perm, int] = {}
     dims = []
     for level in poset.levels:
         offset = 0
         for p in level:
-            layout = layout_for_perm(p)
-            layouts[p] = layout
+            layouts[p] = layout_for(p)
             offsets[p] = offset
-            offset += layout.dim
+            offset += layouts[p].dim
         dims.append(offset)
-    return layouts, offsets, tuple(dims)
+    check_budget(dims, budget)
+    for k in range(poset.max_rank):
+        _check_bytes(dims[k + 1], dims[k])
+
+    differentials = []
+    for k in range(poset.max_rank):
+        coords = []
+        for src, tgt in poset.edges_from_level(k):
+            ls, lt = layouts[src], layouts[tgt]
+            factors = [
+                changed(ls, lt, p) if src[p] != tgt[p] else _identity_options(ls, lt, p)
+                for p in range(n)
+            ]
+            c0 = offsets[src]
+            r0 = offsets[tgt]
+            coords.extend((r0 + o, c0 + i) for i, o in _cover_pairs(factors))
+        differentials.append(GF2Matrix.from_triplets(dims[k + 1], dims[k], coords))
+
+    return CochainComplex(
+        n=n,
+        level_perms=poset.levels,
+        level_dims=tuple(dims),
+        layouts=layouts,
+        block_offsets=offsets,
+        differentials=tuple(differentials),
+        **fields,
+    )
+
+
+def _colors_and_s(d: LinkDiagram, x) -> tuple[ColorVector, tuple[int, ...]]:
+    """Validated colors and the diagram's s-vector, one color per crossing."""
+    xs = validate_colors(x)
+    if len(xs) != d.n:
+        raise PreconditionError(
+            f"color vector length {len(xs)} does not match crossing count {d.n}"
+        )
+    return xs, s_vector(d)
 
 
 def build_complex(
@@ -228,70 +261,30 @@ def build_complex(
     *,
     budget: int = DEFAULT_DIM_BUDGET,
     n_cap: int = DEFAULT_N_CAP,
-    basis_order: str = "standard",
 ) -> CochainComplex:
     """Assemble the full complex of a diagram and a color vector."""
-    xs = validate_colors(x)
-    n = d.n
-    if len(xs) != n:
-        raise PreconditionError(
-            f"color vector length {len(xs)} does not match crossing count {n}"
-        )
-    poset = build_bruhat(n, cap=n_cap)
-    s = s_vector(d)
+    xs, s = _colors_and_s(d, x)
 
     def layout_for(p: Perm) -> BlockLayout:
-        counts = [s[p[i] - 1] for i in range(n)]
-        return make_layout(xs, counts, order=basis_order)
+        return make_layout(xs, [s[v - 1] for v in p])
 
-    layouts, offsets, dims = build_levels(poset, layout_for)
-    check_budget(dims, budget)
+    def merge_split(src: BlockLayout, tgt: BlockLayout, p: int):
+        w_in, w_out = src.constant_weight(p), tgt.constant_weight(p)
+        return _constant_options(src.position_radix(p), w_in, w_out)
 
-    differentials = []
-    for k in range(poset.max_rank):
-        coords = []
-        for src, tgt in poset.edges_from_level(k):
-            changed = {p for p in range(n) if src[p] != tgt[p]}
-            options = [
-                _merge_split_options(layouts[src], layouts[tgt], p)
-                if p in changed
-                else _identity_options(layouts[src], layouts[tgt], p)
-                for p in range(n)
-            ]
-            c0 = offsets[src]
-            r0 = offsets[tgt]
-            coords.extend((r0 + o, c0 + i) for i, o in _cover_pairs(n, options))
-        differentials.append(GF2Matrix.from_triplets(dims[k + 1], dims[k], coords))
+    return _assemble(d.n, layout_for, merge_split, budget=budget, n_cap=n_cap, colors=xs, s=s)
 
-    return CochainComplex(
-        n=n,
-        level_perms=poset.levels,
-        level_dims=dims,
-        layouts=layouts,
-        block_offsets=offsets,
-        differentials=tuple(differentials),
-        colors=xs,
-        s=s,
-    )
+
+def _color_grid(xs: ColorVector, s) -> list[list[int]]:
+    """The matrix (x_i^(s_j)): its grid dims and determinant are the link complex's."""
+    return [[xi**sj for sj in s] for xi in xs]
 
 
 def cochain_dims(d: LinkDiagram, x, *, n_cap: int = DEFAULT_N_CAP) -> list[int]:
     """Level dimensions straight from the dimension formula, no matrices."""
-    return _level_dims(validate_colors(x), s_vector(d), n_cap)
+    from .gendet import _grid_dims
 
-
-def _level_dims(xs: ColorVector, s, n_cap: int) -> list[int]:
-    """cochain_dims for validated colors and the diagram's s-vector."""
-    n = len(s)
-    if len(xs) != n:
-        raise PreconditionError(
-            f"color vector length {len(xs)} does not match crossing count {n}"
-        )
-    poset = build_bruhat(n, cap=n_cap)
-    return [
-        sum(prod(xs[i] ** s[p[i] - 1] for i in range(n)) for p in level)
-        for level in poset.levels
-    ]
+    return _grid_dims(_color_grid(*_colors_and_s(d, x)), n_cap)
 
 
 def euler_characteristic(dims) -> int:
@@ -375,37 +368,21 @@ def verify_euler(
 ) -> HomologyReport:
     """Compare the Euler characteristic against the exact determinant.
 
-    The level dimensions come from the counting formula, so no complex is
-    built.  Unless skip_homology is set, the cohomology is summed over the
-    color-independent summands C(N, j) (see `summands`), each occurring
+    The level dimensions and the determinant are those of the matrix
+    (x_i^(s_j)).  Unless skip_homology is set, the cohomology is summed over
+    the color-independent summands C(N, j) (see `summands`), each occurring
     prod_{i not in N} x_i * prod_{i in N} (x_i^(s_{j_i}) - x_i) times; the
     summed dimensions must reproduce the counting formula at every level.
     budget caps the total dimension of a complex whose cohomology is asked
     for and is checked before any work; it does not apply with
     skip_homology.
     """
-    from .gendet import det_exact, vandermonde_matrix
+    from .gendet import _grid_report
 
-    t0 = perf_counter()
-    xs = validate_colors(x)
-    s = s_vector(d)
-    dims = _level_dims(xs, s, n_cap)
-    hom = None
-    if not skip_homology:
-        check_budget(dims, budget)
-        hom = homology_dims([[xi] + [xi**sj - xi for sj in s] for xi in xs], dims)
-    report = HomologyReport(
-        n=d.n,
-        x=xs,
-        s=s,
-        cochain_dims=dims,
-        homology_dims=hom,
-        euler_characteristic=euler_characteristic(dims),
-    )
-    report.determinant = det_exact(vandermonde_matrix(xs, s))
-    report.agree = report.euler_characteristic == report.determinant
-    report.elapsed_ms = (perf_counter() - t0) * 1000.0
-    return report
+    xs, s = _colors_and_s(d, x)
+    grid = _color_grid(xs, s)
+    factors = [[xi] + [xi**sj - xi for sj in s] for xi in xs]
+    return _grid_report(grid, factors, skip_homology, budget, n_cap, x=xs, s=s)
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,13 @@ expansion is kept as an independent slow route for cross-checking.
 build_matrix_complex replaces each permutation by a tensor product of one
 algebra factor per row, the factor for row i having dimension m[i][pi(i)].
 A cover edge applies the identity on unchanged factors and the rank-one
-map unit-after-counit on the two changed ones.  The unit/counit pair here
-is normalized so that counit(unit(1)) = 1, which the squaring-to-zero of
-the differential requires: the unit picks out the first basis vector and
-the counit sends every basis vector to 1.  (The Frobenius-algebra counit
-and unit from the tqft module pair to dim mod 2 instead, which breaks
-commutativity of mixed-parity diamonds.)
+map unit-after-counit on the two changed ones, through the same assembler
+as the link complexes.  The unit/counit pair here is normalized so that
+counit(unit(1)) = 1, which the squaring-to-zero of the differential
+requires: the unit picks out the first basis vector and the counit sends
+every basis vector to 1.  (The Frobenius-algebra counit and unit from the
+tqft module pair to dim mod 2 instead, which breaks commutativity of
+mixed-parity diamonds.)
 
 In the basis f_0 = e_0, f_a = e_a + e_0 of each factor, unit-after-counit
 keeps f_0 and kills every f_a, so the complex splits into the same
@@ -32,15 +33,13 @@ from .cochain import (
     BlockLayout,
     CochainComplex,
     HomologyReport,
-    _cover_pairs,
-    _identity_options,
-    build_levels,
+    _assemble,
+    _constant_options,
     check_budget,
     euler_characteristic,
     make_layout,
 )
 from .errors import FormatError, PreconditionError, SizeError, ValidationError, strict_int
-from .gf2 import GF2Matrix
 from .summands import homology_dims
 
 
@@ -67,7 +66,7 @@ class PosIntMatrix:
 def _int_rows(m) -> list[list[int]]:
     """Accept a PosIntMatrix or any square grid of integers."""
     rows = m.entries if isinstance(m, PosIntMatrix) else m
-    a = [[int(v) for v in row] for row in rows]
+    a = [[strict_int(v, "matrix entry") for v in row] for row in rows]
     if not a or any(len(row) != len(a) for row in a):
         raise ValidationError("determinant needs a nonempty square matrix")
     return a
@@ -113,8 +112,8 @@ def det_permutation_expansion(m, cap: int = 12) -> int:
 
 def vandermonde_matrix(x, s) -> PosIntMatrix:
     """The matrix with entry (i, j) equal to x_i to the power s_j."""
-    xs = tuple(int(v) for v in x)
-    ss = tuple(int(v) for v in s)
+    xs = tuple(strict_int(v, "x entry") for v in x)
+    ss = tuple(strict_int(v, "s entry") for v in s)
     if len(xs) != len(ss):
         raise PreconditionError("x and s must have the same length")
     return PosIntMatrix(tuple(tuple(xi**sj for sj in ss) for xi in xs))
@@ -134,11 +133,44 @@ def parse_matrix(text: str) -> PosIntMatrix:
     return PosIntMatrix(tuple(tuple(rows_i) for rows_i in rows))
 
 
-def _unit_counit_options(src: BlockLayout, tgt: BlockLayout, p: int):
-    """Changed-factor contributions: any input digit, output digit 0."""
-    radix = src.position_radix(p)
-    wi = src.constant_weight(p)
-    return [(a * wi, 0) for a in range(radix)]
+def _grid_dims(rows, n_cap: int) -> list[int]:
+    """Level dimensions of the complex of a grid: sum over p of prod_i rows[i][p(i)-1]."""
+    n = len(rows)
+    poset = build_bruhat(n, cap=n_cap)
+    return [
+        sum(prod(rows[i][p[i] - 1] for i in range(n)) for p in level)
+        for level in poset.levels
+    ]
+
+
+def _grid_report(
+    grid, factors, skip_homology: bool, budget: int, n_cap: int, x=None, s=None
+) -> HomologyReport:
+    """The report body shared by verify_euler and matrix_report.
+
+    Dimensions and determinant are those of the grid; the cohomology, unless
+    skipped, is summed over the summands C(N, j) with the given multiplicity
+    factors (see `summands.homology_dims`) once the budget is checked.
+    """
+    t0 = perf_counter()
+    dims = _grid_dims(grid, n_cap)
+    hom = None
+    if not skip_homology:
+        check_budget(dims, budget)
+        hom = homology_dims(factors, dims)
+    euler = euler_characteristic(dims)
+    det = det_exact(grid)
+    return HomologyReport(
+        n=len(grid),
+        cochain_dims=dims,
+        homology_dims=hom,
+        euler_characteristic=euler,
+        determinant=det,
+        agree=euler == det,
+        elapsed_ms=(perf_counter() - t0) * 1000.0,
+        x=x,
+        s=s,
+    )
 
 
 def build_matrix_complex(
@@ -148,49 +180,19 @@ def build_matrix_complex(
     n_cap: int = DEFAULT_N_CAP,
 ) -> CochainComplex:
     """Bruhat-shaped complex whose Euler characteristic is det(m)."""
-    n = m.n
-    poset = build_bruhat(n, cap=n_cap)
 
     def layout_for(p: Perm) -> BlockLayout:
-        radices = [m.entries[i][p[i] - 1] for i in range(n)]
-        return make_layout(radices, [1] * n)
+        return make_layout([row[v - 1] for row, v in zip(m.entries, p)], [1] * m.n)
 
-    layouts, offsets, dims = build_levels(poset, layout_for)
-    check_budget(dims, budget)
+    def unit_counit(src: BlockLayout, tgt: BlockLayout, p: int):
+        return _constant_options(src.position_radix(p), src.constant_weight(p), 0)
 
-    differentials = []
-    for k in range(poset.max_rank):
-        coords = []
-        for src, tgt in poset.edges_from_level(k):
-            changed = {p for p in range(n) if src[p] != tgt[p]}
-            options = [
-                _unit_counit_options(layouts[src], layouts[tgt], p)
-                if p in changed
-                else _identity_options(layouts[src], layouts[tgt], p)
-                for p in range(n)
-            ]
-            c0 = offsets[src]
-            r0 = offsets[tgt]
-            coords.extend((r0 + o, c0 + i) for i, o in _cover_pairs(n, options))
-        differentials.append(GF2Matrix.from_triplets(dims[k + 1], dims[k], coords))
-
-    return CochainComplex(
-        n=n,
-        level_perms=poset.levels,
-        level_dims=dims,
-        layouts=layouts,
-        block_offsets=offsets,
-        differentials=tuple(differentials),
-    )
+    return _assemble(m.n, layout_for, unit_counit, budget=budget, n_cap=n_cap)
 
 
 def matrix_dims(m: PosIntMatrix, *, n_cap: int = DEFAULT_N_CAP) -> list[int]:
     """Level dimensions of the matrix complex from the counting formula."""
-    poset = build_bruhat(m.n, cap=n_cap)
-    return [
-        sum(prod(m.entries[i][p[i] - 1] for i in range(m.n)) for p in level)
-        for level in poset.levels
-    ]
+    return _grid_dims(m.entries, n_cap)
 
 
 def matrix_report(
@@ -207,24 +209,8 @@ def matrix_report(
     each occurring prod_{i in N} (m[i][j_i] - 1) times; budget is checked on
     the total dimension first.
     """
-    t0 = perf_counter()
-    dims = matrix_dims(m, n_cap=n_cap)
-    hom = None
-    if not skip_homology:
-        check_budget(dims, budget)
-        hom = homology_dims([[1] + [v - 1 for v in row] for row in m.entries], dims)
-    report = HomologyReport(
-        n=m.n,
-        x=None,
-        s=None,
-        cochain_dims=dims,
-        homology_dims=hom,
-        euler_characteristic=euler_characteristic(dims),
-    )
-    report.determinant = det_exact(m)
-    report.agree = report.euler_characteristic == report.determinant
-    report.elapsed_ms = (perf_counter() - t0) * 1000.0
-    return report
+    factors = [[1] + [v - 1 for v in row] for row in m.entries]
+    return _grid_report(m.entries, factors, skip_homology, budget, n_cap)
 
 
 def random_matrix(n: int, max_entry: int, rng) -> PosIntMatrix:

@@ -44,6 +44,16 @@ def _nwords(cols: int) -> int:
     return (cols + 63) >> 6
 
 
+def _check_bytes(rows: int, cols: int) -> None:
+    """Refuse a rows-by-cols matrix whose packed words pass MAX_MATRIX_BYTES."""
+    size = rows * _nwords(cols) * 8
+    if size > MAX_MATRIX_BYTES:
+        raise SizeError(
+            f"{rows}x{cols} matrix needs {size} packed bytes, "
+            f"over the {MAX_MATRIX_BYTES} byte ceiling"
+        )
+
+
 def _pack(bits) -> np.ndarray:
     """Pack a (rows, cols) array of nonzero-means-set into (rows, words) uint64."""
     rows, cols = np.shape(bits)
@@ -128,14 +138,9 @@ class GF2Matrix:
     def __init__(self, rows: int, cols: int, words: np.ndarray | None = None):
         if rows < 0 or cols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")
-        nw = _nwords(cols)
         if words is None:
-            if rows * nw * 8 > MAX_MATRIX_BYTES:
-                raise SizeError(
-                    f"{rows}x{cols} matrix needs {rows * nw * 8} packed bytes, "
-                    f"over the {MAX_MATRIX_BYTES} byte ceiling"
-                )
-            words = np.zeros((rows, nw), dtype=np.uint64)
+            _check_bytes(rows, cols)
+            words = np.zeros((rows, _nwords(cols)), dtype=np.uint64)
         self.rows = rows
         self.cols = cols
         self.words = words

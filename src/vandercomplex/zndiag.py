@@ -26,6 +26,8 @@ from .bruhat import DEFAULT_N_CAP
 from .cochain import (
     DEFAULT_DIM_BUDGET,
     CochainComplex,
+    _constant_options,
+    _cover_pairs,
     _identity_options,
     build_complex,
     validate_colors,
@@ -206,34 +208,24 @@ def chain_map(
         coords = []
         if scalar:
             for p in cx.level_perms[level]:
-                lx = cx.layouts[p]
-                ly = cy.layouts[p]
-                generators = []
+                lx, ly = cx.layouts[p], cy.layouts[p]
+                factors = []
                 for pos in range(m.n):
-                    if pos + 1 in by_src:
-                        j = by_src[pos + 1] - 1
-                        if j == pos:
-                            generators.append(_identity_options(lx, ly, pos))
-                        else:
-                            radix = lx.position_radix(pos)
-                            wi = lx.constant_weight(pos)
-                            wo = ly.constant_weight(j)
-                            generators.append([(a * wi, a * wo) for a in range(radix)])
+                    j = by_src.get(pos + 1)
+                    if j == pos + 1:
+                        factors.append(_identity_options(lx, ly, pos))
                     else:
+                        # merge-split onto target position j, or a cap
+                        w_out = ly.constant_weight(j - 1) if j else 0
                         radix = lx.position_radix(pos)
-                        wi = lx.constant_weight(pos)
-                        generators.append([(a * wi, 0) for a in range(radix)])
+                        factors.append(_constant_options(radix, lx.constant_weight(pos), w_out))
                 for pos in range(m.n):
                     if pos + 1 not in by_tgt:
                         radix = ly.position_radix(pos)
-                        wo = ly.constant_weight(pos)
-                        generators.append([(0, b * wo) for b in range(radix)])
-                pairs = [(0, 0)]
-                for opts in generators:
-                    pairs = [(i + di, o + do) for i, o in pairs for di, do in opts]
+                        factors.append(_constant_options(radix, 0, ly.constant_weight(pos)))
                 c0 = cx.block_offsets[p]
                 r0 = cy.block_offsets[p]
-                coords.extend((r0 + o, c0 + i) for i, o in pairs)
+                coords.extend((r0 + o, c0 + i) for i, o in _cover_pairs(factors))
         blocks.append(
             GF2Matrix.from_triplets(cy.level_dims[level], cx.level_dims[level], coords)
         )

@@ -54,6 +54,10 @@ def test_det_needs_square():
         det_exact([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValidationError):
         det_exact([])
+    # no silent truncation of non-integers, and no bools taken as 1
+    for rows in ([[1.5]], [[True, 2], [3, 4.9]]):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            det_exact(rows)
 
 
 def test_det_matches_expansion_and_cofactors():
@@ -90,6 +94,8 @@ def test_vandermonde_matrix_examples():
     m = vandermonde_matrix((2, 2), (1, 2))
     assert m.entries == ((2, 4), (2, 4)) and det_exact(m) == 0
     assert det_exact(vandermonde_matrix((1, 2), (1, 2))) == 2
+    with pytest.raises(ValidationError, match="must be an integer"):
+        vandermonde_matrix((1.5, 2), (1, 2.7))
 
 
 def test_vandermonde_product_formula():
