@@ -20,7 +20,7 @@ from .cochain import DEFAULT_DIM_BUDGET, verify_euler
 from .errors import FormatError, SizeError, ValidationError, VanderComplexError
 from .gendet import matrix_report, parse_matrix
 from .linkdiag import parse_diagram, torus_two_n
-from .zndiag import chain_map, cohomology_quotients, induced_map_from, parse_morphism
+from .zndiag import chain_map, induced_map_from, parse_morphism
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,7 +139,7 @@ def _cmd_zmap(args) -> int:
     commutes = cm.commutes()
     induced = None
     if commutes and not args.skip_homology:
-        induced = induced_map_from(cm, cohomology_quotients(cm.source), cohomology_quotients(cm.target))
+        induced = induced_map_from(cm)
     elapsed = (perf_counter() - t0) * 1000.0
     payload = {
         "command": "zmap",

@@ -16,6 +16,12 @@ and pack into bit matrices at the end.  One assembler does this for the
 matrix complexes of `gendet` as well, which swap in unit-after-counit, and
 the chain maps of `zndiag` are built from the same constant maps.
 
+Every such block is a sum of independent factors, one or two per
+position: a factor with k choices j adds j times its input and output
+steps to the pair's column and row.  `_block_matrices` expands the factors
+of all blocks of a complex or chain map at once with whole-array
+operations, and fills every level with one scatter.
+
 Circle identity across different smoothings is never needed: a changed
 color factor depends only on the two circle counts.
 
@@ -27,9 +33,11 @@ them, and homology on a built complex is the dense check on that route.
 from dataclasses import dataclass
 from time import perf_counter
 
+import numpy as np
+
 from .bruhat import DEFAULT_N_CAP, Perm, build_bruhat, inversions, validate_perm
 from .errors import ConsistencyError, PreconditionError, SizeError, ValidationError, strict_int
-from .gf2 import GF2Matrix, _check_bytes
+from .gf2 import GF2Matrix, _check_bytes, _from_level_triplets
 from .linkdiag import DEFAULT_SMOOTHING_CAP, LinkDiagram, is_height_uniform, s_vector
 
 ColorVector = tuple[int, ...]
@@ -57,18 +65,6 @@ class BlockLayout:
     slices: tuple[tuple[int, int], ...]
     weights: tuple[int, ...]
     dim: int
-
-    def position_weights(self, p: int) -> tuple[int, ...]:
-        a, b = self.slices[p]
-        return self.weights[a:b]
-
-    def position_radix(self, p: int) -> int:
-        a, b = self.slices[p]
-        return self.radices[a] if b > a else 1
-
-    def constant_weight(self, p: int) -> int:
-        """Index step when all of position p's digits move together."""
-        return sum(self.position_weights(p))
 
     def index_of(self, digits) -> int:
         flat = [d for group in digits for d in group]
@@ -104,6 +100,44 @@ def make_layout(per_position_radix, per_position_count) -> BlockLayout:
     return BlockLayout(tuple(radices), tuple(slices), tuple(weights), acc)
 
 
+@dataclass(frozen=True)
+class BlockPlaces:
+    """The block layouts of a complex as arrays, one row per permutation in
+    level order and one column per position.
+
+    radix is the radix of the position's digits (1 when it has none), size
+    = radix ** digit count its factor of the block dimension, last the
+    place value of its last digit and step its constant weight, the index
+    step when all its digits move together.
+    """
+
+    level: np.ndarray
+    offset: np.ndarray
+    radix: np.ndarray
+    size: np.ndarray
+    last: np.ndarray
+    step: np.ndarray
+
+
+def _block_places(levels, offsets: dict, digits: list) -> BlockPlaces:
+    """BlockPlaces of the permutations of `levels`; digits lists each one's
+    (radix, digit count) per position, in level order."""
+    radix = np.array([r for r, _ in digits], dtype=np.int64)
+    count = np.array([c for _, c in digits], dtype=np.int64)
+    radix[count == 0] = 1
+    size = radix**count
+    last = np.ones_like(size)
+    last[:, :-1] = np.cumprod(size[:, :0:-1], axis=1)[:, ::-1]
+    return BlockPlaces(
+        level=np.repeat(np.arange(len(levels)), [len(level) for level in levels]),
+        offset=np.array([offsets[p] for level in levels for p in level], dtype=np.int64),
+        radix=radix,
+        size=size,
+        last=last,
+        step=last * ((size - 1) // np.maximum(radix - 1, 1)),
+    )
+
+
 @dataclass
 class CochainComplex:
     """Levels, per-block basis layouts, and packed differentials."""
@@ -114,6 +148,7 @@ class CochainComplex:
     layouts: dict[Perm, BlockLayout]
     block_offsets: dict[Perm, int]
     differentials: tuple[GF2Matrix, ...]
+    places: BlockPlaces
     colors: ColorVector | None = None
     s: tuple[int, ...] | None = None
 
@@ -161,30 +196,29 @@ class CochainComplex:
         return True
 
 
-def _identity_options(src: BlockLayout, tgt: BlockLayout, p: int) -> list[tuple[int, int]]:
-    """Index contributions of position p when its digits pass through unchanged."""
-    w_in = src.position_weights(p)
-    w_out = tgt.position_weights(p)
-    assert len(w_in) == len(w_out), "identity factor with mismatched digit counts"
-    radix = src.position_radix(p)
-    return _cover_pairs(_constant_options(radix, wi, wo) for wi, wo in zip(w_in, w_out))
+def _block_matrices(shapes, level, r0, c0, k, mi, mo) -> list[GF2Matrix]:
+    """Matrices of the given shapes, assembled from blocks.
 
-
-def _constant_options(radix: int, w_in: int, w_out: int) -> list[tuple[int, int]]:
-    """Index contributions of a connected map: constant a in, constant a out.
-
-    A zero weight drops that side: (w, 0) is a cap, or unit-after-counit
-    sending every digit to digit 0, and (0, w) is a cup.
+    Block b sets, in matrix level[b], the bit at row r0[b] + sum_f j_f mo[b, f]
+    and column c0[b] + sum_f j_f mi[b, f] for every choice 0 <= j_f < k[b, f].
+    Blocks are grouped by level in ascending order.  Every matrix's packed
+    size is checked first; then all blocks expand at once, factor by
+    factor, and one scatter fills every matrix.
     """
-    return [(a * w_in, a * w_out) for a in range(radix)]
-
-
-def _cover_pairs(factors) -> list[tuple[int, int]]:
-    """Cartesian sum of per-factor (input, output) index contributions."""
-    pairs = [(0, 0)]
-    for opts in factors:
-        pairs = [(i + di, o + do) for i, o in pairs for di, do in opts]
-    return pairs
+    for rows, cols in shapes:
+        _check_bytes(rows, cols)
+    count = k.prod(axis=1)
+    block = np.repeat(np.arange(count.size), count)
+    t = np.arange(block.size) - np.repeat(np.cumsum(count) - count, count)
+    rows, cols = r0[block], c0[block]
+    # the last factor varies fastest; a factor with one choice adds nothing
+    for f in reversed(np.flatnonzero((k > 1).any(axis=0)).tolist()):
+        kf = k[:, f][block]
+        j = t % kf
+        t //= kf
+        rows += j * mo[:, f][block]
+        cols += j * mi[:, f][block]
+    return _from_level_triplets(shapes, level[block], rows, cols)
 
 
 def check_budget(dims, budget: int) -> None:
@@ -195,44 +229,51 @@ def check_budget(dims, budget: int) -> None:
 
 
 def _assemble(
-    n: int, layout_for, changed, *, budget: int, n_cap: int, **fields
+    n: int, digits_for, *, merge_split: bool, budget: int, n_cap: int, **fields
 ) -> CochainComplex:
     """The Bruhat-shaped complex of n positions, for link and matrix complexes alike.
 
-    layout_for(p) lays out the block of permutation p.  A cover edge is the
-    identity on the positions it keeps and changed(src_layout, tgt_layout, p)
-    on the two it swaps.  The basis budget and every differential's packed
+    digits_for(p) gives, per position, the radix and the number of digits
+    of the block of permutation p.  A cover edge is the identity on the
+    positions it keeps.  On the two it swaps it is the connected map:
+    merge-split, constant a in and constant a out, for link complexes, or
+    unit-after-counit, constant a in and digit 0 out, for matrix complexes
+    (merge_split false).  The basis budget and every differential's packed
     size are checked before any coordinate is built.  fields go to the
     CochainComplex as they are.
     """
     poset = build_bruhat(n, cap=n_cap)
     layouts: dict[Perm, BlockLayout] = {}
     offsets: dict[Perm, int] = {}
+    digits = []
     dims = []
     for level in poset.levels:
         offset = 0
         for p in level:
-            layouts[p] = layout_for(p)
+            radices, counts = digits_for(p)
+            digits.append((radices, counts))
+            layouts[p] = make_layout(radices, counts)
             offsets[p] = offset
             offset += layouts[p].dim
         dims.append(offset)
     check_budget(dims, budget)
-    for k in range(poset.max_rank):
-        _check_bytes(dims[k + 1], dims[k])
 
-    differentials = []
-    for k in range(poset.max_rank):
-        coords = []
-        for src, tgt in poset.edges_from_level(k):
-            ls, lt = layouts[src], layouts[tgt]
-            factors = [
-                changed(ls, lt, p) if src[p] != tgt[p] else _identity_options(ls, lt, p)
-                for p in range(n)
-            ]
-            c0 = offsets[src]
-            r0 = offsets[tgt]
-            coords.extend((r0 + o, c0 + i) for i, o in _cover_pairs(factors))
-        differentials.append(GF2Matrix.from_triplets(dims[k + 1], dims[k], coords))
+    places = _block_places(poset.levels, offsets, digits)
+    index = {p: b for b, p in enumerate(layouts)}
+    src = np.array([index[p] for p, _ in poset.cover_edges], dtype=np.int64)
+    tgt = np.array([index[q] for _, q in poset.cover_edges], dtype=np.int64)
+    perms = np.array(list(layouts), dtype=np.int64)
+    swapped = perms[src] != perms[tgt]
+    out_step = places.step[tgt] if merge_split else 0
+    differentials = _block_matrices(
+        [(dims[k + 1], dims[k]) for k in range(poset.max_rank)],
+        places.level[src],
+        places.offset[tgt],
+        places.offset[src],
+        np.where(swapped, places.radix[src], places.size[src]),
+        np.where(swapped, places.step[src], places.last[src]),
+        np.where(swapped, out_step, places.last[tgt]),
+    )
 
     return CochainComplex(
         n=n,
@@ -241,6 +282,7 @@ def _assemble(
         layouts=layouts,
         block_offsets=offsets,
         differentials=tuple(differentials),
+        places=places,
         **fields,
     )
 
@@ -265,14 +307,10 @@ def build_complex(
     """Assemble the full complex of a diagram and a color vector."""
     xs, s = _colors_and_s(d, x)
 
-    def layout_for(p: Perm) -> BlockLayout:
-        return make_layout(xs, [s[v - 1] for v in p])
+    def digits_for(p: Perm):
+        return xs, [s[v - 1] for v in p]
 
-    def merge_split(src: BlockLayout, tgt: BlockLayout, p: int):
-        w_in, w_out = src.constant_weight(p), tgt.constant_weight(p)
-        return _constant_options(src.position_radix(p), w_in, w_out)
-
-    return _assemble(d.n, layout_for, merge_split, budget=budget, n_cap=n_cap, colors=xs, s=s)
+    return _assemble(d.n, digits_for, merge_split=True, budget=budget, n_cap=n_cap, colors=xs, s=s)
 
 
 def _color_grid(xs: ColorVector, s) -> list[list[int]]:

@@ -30,14 +30,11 @@ from time import perf_counter
 from .bruhat import DEFAULT_N_CAP, Perm, build_bruhat, inversions
 from .cochain import (
     DEFAULT_DIM_BUDGET,
-    BlockLayout,
     CochainComplex,
     HomologyReport,
     _assemble,
-    _constant_options,
     check_budget,
     euler_characteristic,
-    make_layout,
 )
 from .errors import FormatError, PreconditionError, SizeError, ValidationError, strict_int
 from .summands import homology_dims
@@ -181,13 +178,10 @@ def build_matrix_complex(
 ) -> CochainComplex:
     """Bruhat-shaped complex whose Euler characteristic is det(m)."""
 
-    def layout_for(p: Perm) -> BlockLayout:
-        return make_layout([row[v - 1] for row, v in zip(m.entries, p)], [1] * m.n)
+    def digits_for(p: Perm):
+        return [row[v - 1] for row, v in zip(m.entries, p)], [1] * m.n
 
-    def unit_counit(src: BlockLayout, tgt: BlockLayout, p: int):
-        return _constant_options(src.position_radix(p), src.constant_weight(p), 0)
-
-    return _assemble(m.n, layout_for, unit_counit, budget=budget, n_cap=n_cap)
+    return _assemble(m.n, digits_for, merge_split=False, budget=budget, n_cap=n_cap)
 
 
 def matrix_dims(m: PosIntMatrix, *, n_cap: int = DEFAULT_N_CAP) -> list[int]:

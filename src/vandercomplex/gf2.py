@@ -17,9 +17,20 @@ the same way.
 
 Vectors carry their own packed words.  Matrix values are treated as
 immutable by the rest of the package; rank and reduction work on private
-copies.  A matrix that has been the left factor of a product keeps the
-positions of its set bits for the next one, and its words are then
-read-only.
+copies.  A product reads the set bits of its left factor as (row, column)
+pairs, and only pays for work that is nonzero and not already known:
+
+- a matrix built from positions keeps them, so its first product groups
+  them by row instead of reading them back off the words.  That is every
+  `from_triplets` matrix, and every level of an assembled complex or chain
+  map, which `_from_level_triplets` fills with one scatter;
+- a matrix that has been the left factor of a product keeps its pairs for
+  the next one;
+- a product with an empty or all-zero factor returns the zero matrix at
+  once, recording the empty pairs of a left factor that has no set bits.
+
+A matrix that keeps positions or pairs has read-only words, so they cannot
+go stale.
 """
 
 import numpy as np
@@ -133,7 +144,7 @@ class GF2Matrix:
     rows can be combined with word operations.
     """
 
-    __slots__ = ("rows", "cols", "words", "_support")
+    __slots__ = ("rows", "cols", "words", "_positions", "_support")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray | None = None):
         if rows < 0 or cols < 0:
@@ -144,6 +155,7 @@ class GF2Matrix:
         self.rows = rows
         self.cols = cols
         self.words = words
+        self._positions = None  # (rows, cols) the matrix was built from
         self._support = None  # set by the first product that fits one chunk
 
     # -- construction -------------------------------------------------
@@ -179,14 +191,21 @@ class GF2Matrix:
             raise ValidationError("coords must be pairs (row, col)")
         r = arr[:, 0]
         c = arr[:, 1]
-        if r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols:
+        top = arr.max(axis=0)
+        if arr.min() < 0 or top[0] >= rows or top[1] >= cols:
             raise ValidationError("triplet coordinate out of range")
         np.bitwise_xor.at(
             m.words,
             (r, c >> 6),
             _U64_1 << (c & 63).astype(np.uint64),
         )
+        m._keep_positions(r, c)
         return m
+
+    def _keep_positions(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Keep the positions self was built from for its first product."""
+        self._positions = (rows, cols)
+        self.words.flags.writeable = False
 
     # -- element access ------------------------------------------------
 
@@ -259,10 +278,12 @@ class GF2Matrix:
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
         """Sparse product: each output row XORs the rows of other that self selects.
 
-        The selected (row, column) pairs are read off self's nonzero words,
-        in chunks of whole words that keep the temporaries near CHUNK_WORDS.
-        When they fit one chunk they are kept for self's next product, and
-        self's words are made read-only so the kept pairs cannot go stale.
+        The selected (row, column) pairs come from the positions self was
+        built from, or from self's last product, or else are read off its
+        nonzero words in chunks of whole words that keep the temporaries
+        near CHUNK_WORDS.  When they fit one chunk they are kept for self's
+        next product.  A factor without set bits gives the zero matrix at
+        once.
         """
         if self.cols != other.rows:
             raise ValidationError(
@@ -272,16 +293,32 @@ class GF2Matrix:
         # a pair gathers one row of other and keeps four index words
         budget = max(64, CHUNK_WORDS // (other.words.shape[1] + 4))
         kept = self._support
+        if kept is None:
+            if self._positions is not None and self._positions[0].size <= budget:
+                rows, cols = self._positions
+                order = np.argsort(rows, kind="stable")
+                kept = self._keep_support(_by_row(rows[order], cols[order]))
+            elif not self.words.any():
+                kept = self._keep_support(_NO_PAIRS)
+        if (kept is not None and not kept[0].size) or not other.words.any():
+            return out
         chunks = [kept] if kept is not None and kept[0].size <= budget else self._chunks(budget)
         for gather, starts, targets in chunks:
             # a row cut between two chunks gets both parts XORed in
             out.words[targets] ^= np.bitwise_xor.reduceat(other.words[gather], starts, axis=0)
         return out
 
+    def _keep_support(self, pairs):
+        """Keep self's set bits as pairs for its next product; words go read-only."""
+        self._support = pairs
+        self._positions = None
+        self.words.flags.writeable = False
+        return pairs
+
     def _chunks(self, budget: int):
         """Yield self's set bits as (column, first pair of each row, row)
         arrays, in chunks of whole words of at most `budget` pairs each (or
-        one word).  A matrix that fits one chunk keeps it in _support."""
+        one word).  A matrix that fits one chunk keeps it."""
         r, w = np.nonzero(self.words)
         vals = self.words[r, w]
         cuts = [0, r.size]
@@ -291,14 +328,9 @@ class GF2Matrix:
         for lo, hi in zip(cuts, cuts[1:]):
             bits = np.unpackbits(vals[lo:hi].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
             k, b = np.nonzero(bits)
-            rows, cols = r[lo:hi][k], (w[lo:hi][k] << 6) + b
-            first = np.ones(rows.size, dtype=bool)
-            np.not_equal(rows[1:], rows[:-1], out=first[1:])
-            starts = np.flatnonzero(first)
-            chunk = (cols, starts, rows[starts])
+            chunk = _by_row(r[lo:hi][k], (w[lo:hi][k] << 6) + b)
             if len(cuts) == 2:
-                self._support = chunk
-                self.words.flags.writeable = False
+                self._keep_support(chunk)
             yield chunk
 
     def compose_is_zero(self, other: "GF2Matrix") -> bool:
@@ -337,6 +369,44 @@ class GF2Matrix:
         bits[np.arange(free.size), free] = 1
         bits[:, pivots] = _unpack(reduced.words[: len(pivots)], self.cols)[:, free].T
         return [GF2Vector(self.cols, words) for words in _pack(bits)]
+
+
+_NO_PAIRS = (np.empty(0, dtype=np.int64),) * 3
+
+
+def _by_row(rows: np.ndarray, cols: np.ndarray):
+    """Pairs sorted by row as (column, first pair of each row, row)."""
+    first = np.ones(rows.size, dtype=bool)
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return cols, starts, rows[starts]
+
+
+def _from_level_triplets(shapes, level, rows, cols) -> list[GF2Matrix]:
+    """One matrix per (rows, cols) shape, with a bit at (rows[t], cols[t])
+    of matrix level[t] for every t, filled by one scatter.
+
+    The positions must lie inside their matrix and be grouped by level in
+    ascending order; repeated positions cancel mod 2.  The matrices' words
+    are consecutive views of one buffer, which `from_triplets` fills as a
+    matrix with one row per packed word, and each matrix keeps its own
+    positions for its first product.
+    """
+    widths = np.array([_nwords(c) for _, c in shapes], dtype=np.int64)
+    base = np.zeros(len(shapes) + 1, dtype=np.int64)
+    np.cumsum([r for r, _ in shapes] * widths, out=base[1:])
+    word = base[level] + rows * widths[level] + (cols >> 6)
+    coords = np.empty((word.size, 2), dtype=np.int64)
+    coords[:, 0] = word
+    np.bitwise_and(cols, 63, out=coords[:, 1])
+    flat = GF2Matrix.from_triplets(int(base[-1]), 64, coords).words[:, 0]
+    cuts = np.searchsorted(level, np.arange(len(shapes) + 1)).tolist()
+    out = []
+    for k, (r, c) in enumerate(shapes):
+        m = GF2Matrix(r, c, flat[base[k] : base[k + 1]].reshape(r, widths[k]))
+        m._keep_positions(rows[cuts[k] : cuts[k + 1]], cols[cuts[k] : cuts[k + 1]])
+        out.append(m)
+    return out
 
 
 def _eliminate(words: np.ndarray, nrows: int, cols: int, full: bool) -> list[int]:

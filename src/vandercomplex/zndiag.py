@@ -22,13 +22,13 @@ makes the induced maps compose on the nose.
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bruhat import DEFAULT_N_CAP
 from .cochain import (
     DEFAULT_DIM_BUDGET,
     CochainComplex,
-    _constant_options,
-    _cover_pairs,
-    _identity_options,
+    _block_matrices,
     build_complex,
     validate_colors,
 )
@@ -189,47 +189,48 @@ def chain_map(
     budget: int = DEFAULT_DIM_BUDGET,
     n_cap: int = DEFAULT_N_CAP,
 ) -> ChainMap:
-    """Assemble the per-level matrices induced by a strip diagram."""
+    """Assemble the per-level matrices induced by a strip diagram.
+
+    An endomorphism without a prebuilt target maps the source complex to
+    itself.
+    """
     if m.n != d.n:
         raise PreconditionError(
             f"morphism is between vectors of length {m.n}, diagram has {d.n} crossings"
         )
     cx = source_complex or build_complex(d, m.source, budget=budget, n_cap=n_cap)
+    if target_complex is None and m.target == m.source:
+        target_complex = cx
     cy = target_complex or build_complex(d, m.target, budget=budget, n_cap=n_cap)
     if cx.colors != m.source or cy.colors != m.target:
         raise PreconditionError("prebuilt complexes do not match the morphism ends")
+    if cx.s != cy.s:
+        raise PreconditionError("prebuilt complexes come from diagrams with different circle counts")
 
-    scalar = m.sphere_factor()
+    shapes = list(zip(cy.level_dims, cx.level_dims))
+    if not m.sphere_factor():  # an even dot kills every block
+        zeros = tuple(GF2Matrix(r, c) for r, c in shapes)
+        return ChainMap(morphism=m, source=cx, target=cy, blocks=zeros)
+    # One factor per source position (the identity on an arc that stays
+    # put, the connected map onto another target position or a cap), and a
+    # cup per unmatched target position.
+    px, py = cx.places, cy.places
+    zero = np.zeros_like(px.step[:, 0])
     by_src = m.arc_by_source()
     by_tgt = m.arc_by_target()
-
-    blocks = []
-    for level in range(cx.max_rank + 1):
-        coords = []
-        if scalar:
-            for p in cx.level_perms[level]:
-                lx, ly = cx.layouts[p], cy.layouts[p]
-                factors = []
-                for pos in range(m.n):
-                    j = by_src.get(pos + 1)
-                    if j == pos + 1:
-                        factors.append(_identity_options(lx, ly, pos))
-                    else:
-                        # merge-split onto target position j, or a cap
-                        w_out = ly.constant_weight(j - 1) if j else 0
-                        radix = lx.position_radix(pos)
-                        factors.append(_constant_options(radix, lx.constant_weight(pos), w_out))
-                for pos in range(m.n):
-                    if pos + 1 not in by_tgt:
-                        radix = ly.position_radix(pos)
-                        factors.append(_constant_options(radix, 0, ly.constant_weight(pos)))
-                c0 = cx.block_offsets[p]
-                r0 = cy.block_offsets[p]
-                coords.extend((r0 + o, c0 + i) for i, o in _cover_pairs(factors))
-        blocks.append(
-            GF2Matrix.from_triplets(cy.level_dims[level], cx.level_dims[level], coords)
-        )
-    return ChainMap(morphism=m, source=cx, target=cy, blocks=tuple(blocks))
+    factors = []
+    for pos in range(m.n):
+        j = by_src.get(pos + 1)
+        if j == pos + 1:
+            factors.append((px.size[:, pos], px.last[:, pos], py.last[:, pos]))
+        else:
+            factors.append((px.radix[:, pos], px.step[:, pos], py.step[:, j - 1] if j else zero))
+    for pos in range(m.n):
+        if pos + 1 not in by_tgt:
+            factors.append((py.radix[:, pos], zero, py.step[:, pos]))
+    k, mi, mo = (np.array(column).T for column in zip(*factors))
+    levels = _block_matrices(shapes, px.level, py.offset, px.offset, k, mi, mo)
+    return ChainMap(morphism=m, source=cx, target=cy, blocks=tuple(levels))
 
 
 def cohomology_quotients(cx: CochainComplex) -> list[QuotientSpace]:
@@ -253,6 +254,21 @@ def cohomology_quotients(cx: CochainComplex) -> list[QuotientSpace]:
     return out
 
 
+def _check_quotients(quotients: list[QuotientSpace], cx: CochainComplex, side: str) -> None:
+    """One quotient per level of cx, each on vectors of that level's dimension."""
+    levels = len(cx.level_dims)
+    if len(quotients) != levels:
+        raise PreconditionError(
+            f"level {min(len(quotients), levels)}: {len(quotients)} {side} quotients for {levels} levels"
+        )
+    for k, (q, dim) in enumerate(zip(quotients, cx.level_dims)):
+        if q.n != dim:
+            raise PreconditionError(
+                f"level {k}: the {side} quotient is on vectors of length {q.n}, "
+                f"the level has dimension {dim}"
+            )
+
+
 def induced_map_from(
     cm: ChainMap,
     source_quotients: list[QuotientSpace] | None = None,
@@ -261,12 +277,21 @@ def induced_map_from(
     """Matrices on cohomology in the deterministic quotient bases.
 
     Per level, one product maps every source representative at once, and
-    the target quotient reads off all their coordinates together.
+    the target quotient reads off all their coordinates together; a level
+    whose source cohomology is zero needs neither.  An endomorphism's
+    target quotients are its source quotients.
     """
-    qx = source_quotients or cohomology_quotients(cm.source)
-    qy = target_quotients or cohomology_quotients(cm.target)
+    qx = cohomology_quotients(cm.source) if source_quotients is None else source_quotients
+    if target_quotients is None:
+        target_quotients = qx if cm.target is cm.source else cohomology_quotients(cm.target)
+    qy = target_quotients
+    _check_quotients(qx, cm.source, "source")
+    _check_quotients(qy, cm.target, "target")
     out = []
     for k in range(cm.source.max_rank + 1):
+        if not qx[k].dim:
+            out.append(GF2Matrix(qy[k].dim, 0))
+            continue
         try:
             out.append(qy[k].coordinates(cm.blocks[k] @ qx[k].representatives))
         except MembershipError as exc:

@@ -192,6 +192,10 @@ def test_matmul_and_mul_vector_against_naive(monkeypatch):
         a = random_matrix(rng, rng.randint(1, 30), rng.randint(1, 30))
         b = random_matrix(rng, a.cols, rng.randint(1, 30))
         assert (a @ b).to_rows() == naive_mul(a.to_rows(), b.to_rows())
+        # all-zero factors that are not empty, on either side and both
+        za, zb = GF2Matrix.zeros(a.rows, a.cols), GF2Matrix.zeros(b.rows, b.cols)
+        for left, right in ((za, b), (a, zb), (za, zb)):
+            assert (left @ right).to_rows() == naive_mul(left.to_rows(), right.to_rows())
         v = GF2Vector.from_bits([rng.randint(0, 1) for _ in range(a.cols)])
         expected = [sum(r * x for r, x in zip(row, v.to_bits())) % 2 for row in a.to_rows()]
         assert a.mul_vector(v).to_bits() == expected
@@ -279,9 +283,21 @@ def test_compose_is_zero():
     assert not a.compose_is_zero(GF2Matrix.identity(2))
 
 
-def test_from_triplets_duplicates_cancel():
+def test_from_triplets_duplicates_cancel(monkeypatch):
     m = GF2Matrix.from_triplets(2, 2, [(0, 1), (0, 1), (1, 0)])
     assert m.to_rows() == [[0, 0], [1, 0]]
+    # kept positions cancel in products too, whether the first product
+    # reads them or, past its chunk, the words
+    assert m @ GF2Matrix.from_rows([[1, 1], [0, 1]]) == GF2Matrix.from_rows([[0, 0], [1, 1]])
+    rng = random.Random(16)
+    for chunk_words in (1, gf2.CHUNK_WORDS):
+        coords = [(rng.randrange(65), rng.randrange(70)) for _ in range(300)]
+        big = GF2Matrix.from_triplets(65, 70, coords)
+        c = random_matrix(rng, 70, 9)
+        with monkeypatch.context() as patch:
+            patch.setattr(gf2, "CHUNK_WORDS", chunk_words)
+            assert (big @ c).to_rows() == naive_mul(big.to_rows(), c.to_rows())
+        assert not big.words.flags.writeable
     with pytest.raises(ValidationError):
         GF2Matrix.from_triplets(2, 2, [(2, 0)])
 

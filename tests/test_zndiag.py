@@ -26,6 +26,8 @@ from vandercomplex import (
     torus_two_n,
     validate_morphism,
 )
+from vandercomplex import zndiag
+from vandercomplex.cli import main
 from vandercomplex.gf2 import GF2Matrix
 
 
@@ -167,6 +169,13 @@ def test_chain_map_rejects_mismatched_prebuilt():
         chain_map(d, identity_morphism((1, 2)), source_complex=wrong)
     with pytest.raises(PreconditionError):
         chain_map(torus_two_n(3), identity_morphism((1, 2)))
+    # same colors, another diagram's circle counts: the blocks would not fit
+    x = (1, 2, 2)
+    cx = build_complex(torus_two_n(3), x)
+    cy = build_complex(random_diagram(3, random.Random(5)), x)
+    assert cx.s != cy.s
+    with pytest.raises(PreconditionError, match="circle counts"):
+        chain_map(torus_two_n(3), identity_morphism(x), source_complex=cx, target_complex=cy)
 
 
 def test_induced_identity():
@@ -272,3 +281,149 @@ def test_cohomology_quotients_reject_corrupted_differential():
     corrupted = dataclasses.replace(cx, differentials=(d0, bad, *rest))
     with pytest.raises(MembershipError, match="not in the span of the cycles"):
         cohomology_quotients(corrupted)
+
+
+def test_induced_map_from_checks_quotient_lists():
+    d = torus_two_n(2)
+    cm = chain_map(d, identity_morphism((1, 2)))
+    quotients = cohomology_quotients(cm.source)
+    with pytest.raises(PreconditionError, match="level 1: 1 source quotients for 2 levels"):
+        induced_map_from(cm, quotients[:1], quotients)
+    with pytest.raises(PreconditionError, match="level 2: 3 target quotients"):
+        induced_map_from(cm, quotients, quotients + quotients[:1])
+    # another complex's quotients: the same number of levels, other lengths
+    other = cohomology_quotients(build_complex(d, (2, 2)))
+    with pytest.raises(PreconditionError, match="level 0: the source quotient .* length 8, .* dimension 4"):
+        induced_map_from(cm, other, quotients)
+    # a level whose source cohomology is zero runs no product, so only the
+    # check can catch a quotient of the wrong length there
+    assert quotients[1].dim == 0
+    wrong = [quotients[0], QuotientSpace([], [], cm.source.level_dims[1] + 1)]
+    with pytest.raises(PreconditionError, match="level 1: the source quotient"):
+        induced_map_from(cm, wrong, quotients)
+
+
+def test_endomorphisms_build_complex_and_quotients_once(monkeypatch, capsys, tmp_path):
+    calls = {"build_complex": 0, "cohomology_quotients": 0}
+    for name in calls:
+        original = getattr(zndiag, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(zndiag, name, counted)
+    path = tmp_path / "m.json"
+    ident = {"source": [1, 2, 2, 2], "target": [1, 2, 2, 2], "arcs": [[i, i] for i in range(1, 5)]}
+    path.write_text(json.dumps(ident))
+    assert main(["zmap", "--file", str(path), "--n", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["commutes"] is True
+    assert calls == {"build_complex": 1, "cohomology_quotients": 1}
+    maps = induced_cohomology_map(torus_two_n(3), identity_morphism((2, 1, 2)))
+    assert calls == {"build_complex": 2, "cohomology_quotients": 2}
+    assert all(m == GF2Matrix.identity(m.rows) for m in maps)
+
+
+def _int_rows(m: GF2Matrix) -> list[int]:
+    return [sum(bit << j for j, bit in enumerate(row)) for row in m.to_rows()]
+
+
+def _int_columns(m: GF2Matrix) -> list[int]:
+    return [sum(row[j] << i for i, row in enumerate(m.to_rows())) for j in range(m.cols)]
+
+
+def _naive_mul(a: list[int], b: list[int]) -> list[int]:
+    """Rows of a @ b, rows as ints: row i XORs the rows of b that a's row i selects."""
+    out = []
+    for row in a:
+        acc = 0
+        for j, brow in enumerate(b):
+            if row >> j & 1:
+                acc ^= brow
+        out.append(acc)
+    return out
+
+
+def _naive_solve(columns: list[int], v: int) -> int | None:
+    """A set of columns (bit i for column i) that sums to v, or None."""
+    basis = []  # (pivot, vector, combination), each clear at earlier pivots
+    for i, c in enumerate(columns):
+        comb = 1 << i
+        for pivot, b, bc in basis:
+            if c >> pivot & 1:
+                c, comb = c ^ b, comb ^ bc
+        if c:
+            basis.append((c.bit_length() - 1, c, comb))
+    comb = 0
+    for pivot, b, bc in basis:
+        if v >> pivot & 1:
+            v, comb = v ^ b, comb ^ bc
+    return None if v else comb
+
+
+def reference_commutes(cm) -> bool:
+    """Both sides of every square, each product taken in full."""
+    for k, d in enumerate(cm.source.differentials):
+        lhs = _naive_mul(_int_rows(cm.target.differentials[k]), _int_rows(cm.blocks[k]))
+        rhs = _naive_mul(_int_rows(cm.blocks[k + 1]), _int_rows(d))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def reference_induced(cm, qx, qy) -> list[list[list[int]]]:
+    """Every level's induced matrix as rows of bits: each source
+    representative's image, solved against the target representatives and
+    boundaries, at every level whatever the dimensions."""
+    out = []
+    for k, block in enumerate(cm.blocks):
+        images = _naive_mul(_int_rows(block), _int_rows(qx[k].representatives))
+        reps = _int_columns(qy[k].representatives)
+        bounds = _int_columns(cm.target.differentials[k - 1]) if k else []
+        cols = []
+        for q in range(qx[k].dim):
+            image = sum((row >> q & 1) << i for i, row in enumerate(images))
+            comb = _naive_solve(reps + bounds, image)
+            assert comb is not None, "a cycle image left the target cycle space"
+            cols.append([comb >> i & 1 for i in range(qy[k].dim)])
+        out.append([[col[i] for col in cols] for i in range(qy[k].dim)])
+    return out
+
+
+def test_commutes_and_induced_maps_against_per_level_reference():
+    rng = random.Random(46)
+    cases = [
+        (torus_two_n(2), [(1, 2), (2, 1), (2, 2)]),
+        (torus_two_n(3), [(1, 2, 2), (2, 2, 1), (1, 1, 2)]),
+        (random_diagram(4, random.Random(40)), [(1, 2, 2, 1), (2, 2, 1, 1), (1, 2, 1, 1)]),
+    ]
+    seen = {"even_dot": 0, "zero_source": 0, "zero_target": 0, "zero_both": 0, "broken": 0}
+    trials = 0
+    for d, pool in cases:
+        complexes = {x: build_complex(d, x) for x in pool}
+        quotients = {x: cohomology_quotients(complexes[x]) for x in pool}
+        for t in range(14):
+            x, y = rng.choice(pool), rng.choice(pool)
+            m = random_morphism(rng, x, y)
+            if t % 4 == 0:
+                m = dataclasses.replace(m, dots=m.dots + (2,))
+            cm = chain_map(d, m, source_complex=complexes[x], target_complex=complexes[y])
+            assert cm.commutes() and reference_commutes(cm)
+            got = induced_map_from(cm, quotients[x], quotients[y])
+            assert [g.to_rows() for g in got] == reference_induced(cm, quotients[x], quotients[y])
+            # one flipped bit, which usually breaks a square
+            k = rng.randrange(len(cm.blocks))
+            bits = cm.blocks[k].to_bool_array()
+            if bits.size:
+                bits[rng.randrange(bits.shape[0]), rng.randrange(bits.shape[1])] ^= True
+                flipped = cm.blocks[:k] + (GF2Matrix.from_bool_array(bits),) + cm.blocks[k + 1 :]
+                broken = dataclasses.replace(cm, blocks=flipped)
+                assert broken.commutes() == reference_commutes(broken)
+                seen["broken"] += not reference_commutes(broken)
+            seen["even_dot"] += m.sphere_factor() == 0
+            for qx, qy in zip(quotients[x], quotients[y]):
+                seen["zero_source"] += qx.dim == 0 < qy.dim
+                seen["zero_target"] += qy.dim == 0 < qx.dim
+                seen["zero_both"] += qx.dim == qy.dim == 0
+            trials += 1
+    assert trials == 42 and all(seen.values()), seen
