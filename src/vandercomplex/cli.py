@@ -12,6 +12,7 @@ implementation bug), and 1 for input problems.
 
 import argparse
 import json
+import re
 import sys
 from time import perf_counter
 
@@ -28,11 +29,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_colors(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+    """Comma-separated ASCII integers; int() alone would also take `1_0`,
+    spaces and non-ASCII digits."""
+    parts = text.split(",")
+    if not all(_INTEGER.fullmatch(part) for part in parts):
         raise ValidationError(f"--x must be a comma-separated integer list, got {text!r}")
+    return tuple(map(int, parts))
 
 
 def _read(path: str) -> str:

@@ -31,6 +31,7 @@ them, and homology on a built complex is the dense check on that route.
 """
 
 from dataclasses import dataclass
+from math import prod
 from time import perf_counter
 
 import numpy as np
@@ -53,75 +54,31 @@ def validate_colors(x) -> ColorVector:
 
 
 @dataclass(frozen=True)
-class BlockLayout:
-    """Digit layout of one permutation block.
-
-    radices[t] is the number of colors available to digit t; slices[p]
-    marks the digit range belonging to position p; weights[t] is the
-    mixed-radix place value of digit t, the first digit most significant.
-    """
-
-    radices: tuple[int, ...]
-    slices: tuple[tuple[int, int], ...]
-    weights: tuple[int, ...]
-    dim: int
-
-    def index_of(self, digits) -> int:
-        flat = [d for group in digits for d in group]
-        if len(flat) != len(self.radices):
-            raise ValidationError("coloring has the wrong number of digits")
-        if any(d < 0 or d >= r for d, r in zip(flat, self.radices)):
-            raise ValidationError("coloring digit out of range")
-        return sum(d * w for d, w in zip(flat, self.weights))
-
-    def digits_of(self, index: int) -> tuple[tuple[int, ...], ...]:
-        if index < 0 or index >= self.dim:
-            raise ValidationError(f"basis index {index} out of range")
-        flat = []
-        for w in self.weights:
-            d, index = divmod(index, w)
-            flat.append(d)
-        return tuple(tuple(flat[a:b]) for a, b in self.slices)
-
-
-def make_layout(per_position_radix, per_position_count) -> BlockLayout:
-    """Lay out digits position by position, the last digit least significant."""
-    radices: list[int] = []
-    slices: list[tuple[int, int]] = []
-    for radix, count in zip(per_position_radix, per_position_count):
-        start = len(radices)
-        radices.extend([radix] * count)
-        slices.append((start, len(radices)))
-    weights = [0] * len(radices)
-    acc = 1
-    for t in reversed(range(len(radices))):
-        weights[t] = acc
-        acc *= radices[t]
-    return BlockLayout(tuple(radices), tuple(slices), tuple(weights), acc)
-
-
-@dataclass(frozen=True)
 class BlockPlaces:
     """The block layouts of a complex as arrays, one row per permutation in
     level order and one column per position.
 
-    radix is the radix of the position's digits (1 when it has none), size
-    = radix ** digit count its factor of the block dimension, last the
-    place value of its last digit and step its constant weight, the index
-    step when all its digits move together.
+    A block's basis is mixed radix: each position has `count` digits of
+    the same radix, and the first digit is the most significant.  radix is
+    the radix of the position's digits (1 when it has none), size = radix
+    ** count its factor of the block dimension, last the place value of its
+    last digit and step its constant weight, the index step when all its
+    digits move together.  offset is the block's first index in its level.
     """
 
     level: np.ndarray
     offset: np.ndarray
+    count: np.ndarray
     radix: np.ndarray
     size: np.ndarray
     last: np.ndarray
     step: np.ndarray
 
 
-def _block_places(levels, offsets: dict, digits: list) -> BlockPlaces:
-    """BlockPlaces of the permutations of `levels`; digits lists each one's
-    (radix, digit count) per position, in level order."""
+def _block_places(levels, offsets: list, digits: list) -> BlockPlaces:
+    """BlockPlaces of the permutations of `levels`; offsets and digits list
+    each one's first index and (radix, digit count) per position, in level
+    order."""
     radix = np.array([r for r, _ in digits], dtype=np.int64)
     count = np.array([c for _, c in digits], dtype=np.int64)
     radix[count == 0] = 1
@@ -130,7 +87,8 @@ def _block_places(levels, offsets: dict, digits: list) -> BlockPlaces:
     last[:, :-1] = np.cumprod(size[:, :0:-1], axis=1)[:, ::-1]
     return BlockPlaces(
         level=np.repeat(np.arange(len(levels)), [len(level) for level in levels]),
-        offset=np.array([offsets[p] for level in levels for p in level], dtype=np.int64),
+        offset=np.array(offsets, dtype=np.int64),
+        count=count,
         radix=radix,
         size=size,
         last=last,
@@ -145,8 +103,6 @@ class CochainComplex:
     n: int
     level_perms: tuple[tuple[Perm, ...], ...]
     level_dims: tuple[int, ...]
-    layouts: dict[Perm, BlockLayout]
-    block_offsets: dict[Perm, int]
     differentials: tuple[GF2Matrix, ...]
     places: BlockPlaces
     colors: ColorVector | None = None
@@ -160,20 +116,53 @@ class CochainComplex:
     def total_dim(self) -> int:
         return sum(self.level_dims)
 
+    def _row(self, perm) -> tuple[int, int]:
+        """The level of a permutation and its row in `places`."""
+        p = validate_perm(perm)
+        k = inversions(p)
+        try:
+            return k, sum(map(len, self.level_perms[:k])) + self.level_perms[k].index(p)
+        except (IndexError, ValueError):
+            raise ValidationError(f"permutation {p} has no block in this complex") from None
+
+    def _span(self, b: int) -> tuple[int, int]:
+        """First and past-the-last index of block b in its level."""
+        start = int(self.places.offset[b])
+        return start, start + int(self.places.size[b].prod())
+
+    def _digits(self, b: int) -> list[tuple[int, int, int]]:
+        """(radix, place value, position) of each digit of block b, the
+        first digit most significant."""
+        pl = self.places
+        out = []
+        for pos in range(self.n):
+            radix, count, last = (int(a[b, pos]) for a in (pl.radix, pl.count, pl.last))
+            out.extend((radix, last * radix ** (count - 1 - t), pos) for t in range(count))
+        return out
+
     def basis_index(self, perm, coloring) -> tuple[int, int]:
         """Flat (level, index) of a permutation and a 1-based coloring."""
-        p = validate_perm(perm)
-        layout = self.layouts[p]
-        digits = tuple(tuple(c - 1 for c in group) for group in coloring)
-        return inversions(p), self.block_offsets[p] + layout.index_of(digits)
+        k, b = self._row(perm)
+        digits = self._digits(b)
+        flat = [c - 1 for group in coloring for c in group]
+        if len(flat) != len(digits):
+            raise ValidationError("coloring has the wrong number of digits")
+        if any(d < 0 or d >= radix for d, (radix, _, _) in zip(flat, digits)):
+            raise ValidationError("coloring digit out of range")
+        return k, self._span(b)[0] + sum(d * weight for d, (_, weight, _) in zip(flat, digits))
 
     def basis_label(self, level: int, index: int):
         """Inverse of basis_index: the (permutation, coloring) at a flat index."""
-        for p in self.level_perms[level]:
-            off = self.block_offsets[p]
-            if off <= index < off + self.layouts[p].dim:
-                digits = self.layouts[p].digits_of(index - off)
-                return p, tuple(tuple(c + 1 for c in group) for group in digits)
+        first = sum(map(len, self.level_perms[:level]))
+        for b, p in enumerate(self.level_perms[level], first):
+            start, stop = self._span(b)
+            if start <= index < stop:
+                coloring: list[list[int]] = [[] for _ in range(self.n)]
+                rest = index - start
+                for _, weight, pos in self._digits(b):
+                    d, rest = divmod(rest, weight)
+                    coloring[pos].append(d + 1)
+                return p, tuple(map(tuple, coloring))
         raise ValidationError(f"index {index} out of range for level {level}")
 
     def block(self, source: Perm, target: Perm) -> GF2Matrix:
@@ -181,12 +170,9 @@ class CochainComplex:
         k = inversions(source)
         if inversions(target) != k + 1:
             raise PreconditionError("block endpoints must form a cover")
-        delta = self.differentials[k]
-        c0 = self.block_offsets[source]
-        r0 = self.block_offsets[target]
-        return delta.submatrix(
-            r0, r0 + self.layouts[target].dim, c0, c0 + self.layouts[source].dim
-        )
+        c0, c1 = self._span(self._row(source)[1])
+        r0, r1 = self._span(self._row(target)[1])
+        return self.differentials[k].submatrix(r0, r1, c0, c1)
 
     def verify_d_squared(self) -> bool:
         """Check that consecutive differentials compose to zero."""
@@ -243,8 +229,8 @@ def _assemble(
     CochainComplex as they are.
     """
     poset = build_bruhat(n, cap=n_cap)
-    layouts: dict[Perm, BlockLayout] = {}
-    offsets: dict[Perm, int] = {}
+    blocks = [p for level in poset.levels for p in level]
+    offsets = []
     digits = []
     dims = []
     for level in poset.levels:
@@ -252,17 +238,16 @@ def _assemble(
         for p in level:
             radices, counts = digits_for(p)
             digits.append((radices, counts))
-            layouts[p] = make_layout(radices, counts)
-            offsets[p] = offset
-            offset += layouts[p].dim
+            offsets.append(offset)
+            offset += prod(r**c for r, c in zip(radices, counts))
         dims.append(offset)
     check_budget(dims, budget)
 
     places = _block_places(poset.levels, offsets, digits)
-    index = {p: b for b, p in enumerate(layouts)}
+    index = {p: b for b, p in enumerate(blocks)}
     src = np.array([index[p] for p, _ in poset.cover_edges], dtype=np.int64)
     tgt = np.array([index[q] for _, q in poset.cover_edges], dtype=np.int64)
-    perms = np.array(list(layouts), dtype=np.int64)
+    perms = np.array(blocks, dtype=np.int64)
     swapped = perms[src] != perms[tgt]
     out_step = places.step[tgt] if merge_split else 0
     differentials = _block_matrices(
@@ -279,8 +264,6 @@ def _assemble(
         n=n,
         level_perms=poset.levels,
         level_dims=tuple(dims),
-        layouts=layouts,
-        block_offsets=offsets,
         differentials=tuple(differentials),
         places=places,
         **fields,

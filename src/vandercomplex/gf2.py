@@ -3,17 +3,17 @@
 Matrices are dense bit matrices packed row-major into 64-bit words, so a
 row operation is a handful of word XORs and elimination runs at memory
 speed through numpy.  Packing, products, kernels and quotient coordinates
-are whole-array operations; no loop runs over single bits.  Everything
-here is deterministic: pivots are chosen as the first nonzero row at the
-lowest row index, and quotient coordinates always reduce against the
-lowest set bit first, so identical inputs give identical output bits on
-every run.
+are whole-array operations.  Everything here is deterministic: pivots are
+chosen as the first nonzero row at the lowest row index, and quotient
+coordinates always reduce against the lowest set bit first, so identical
+inputs give identical output bits on every run.
 
 Reductions that build tables run on Python integers, one per vector, each
 reduced by the stored row at its lowest set bit: `reduce_columns` reduces
 a differential's columns once, giving both its kernel basis and the
 boundary table of the next level, and `QuotientSpace` inserts its cycles
-the same way.
+the same way and builds its matrices from the resulting integers, moving
+one set bit at a time, which suits the sparse tables of differentials.
 
 Vectors carry their own packed words.  Matrix values are treated as
 immutable by the rest of the package; rank and reduction work on private
@@ -32,6 +32,8 @@ pairs, and only pays for work that is nonzero and not already known:
 A matrix that keeps positions or pairs has read-only words, so they cannot
 go stale.
 """
+
+from itertools import repeat
 
 import numpy as np
 
@@ -450,73 +452,86 @@ class QuotientSpace:
     are deterministic given the input order.  The boundaries must lie in
     the span of the cycles.
 
-    Vectors are GF2Vectors or Python integers (bit j is entry j).  `n`, the
-    vector length, is needed for integers and when both lists are empty.
+    Vectors are GF2Vectors or nonnegative Python integers (bit j is entry
+    j).  `n` is the vector length; it is needed for integers and when both
+    lists are empty, and otherwise defaults to the first GF2Vector's.
     `boundaries` may also be the table that inserting them builds, {lowest
     set bit: stored row} in insertion order, as `reduce_columns` returns it
     for the columns of a differential.
 
-    The table is built on Python integers, one per vector.  A vector's
+    Everything is built on Python integers, one per vector.  The
+    boundaries lie in the cycle span exactly when the table of boundaries
+    and cycles has as many rows as the cycles have rank.  A vector's
     coefficients on the table rows depend only on its bits at the pivots,
     through the inverse of the table's unit-triangular pivot block.  The
     rows of that inverse for the quotient basis, stacked over the rows that
     vanish exactly on the table's span, turn coordinates of many vectors
-    into one product.
+    into one product; they are built on the first `coordinates` call.
     """
 
     def __init__(self, cycles, boundaries, n: int = 0):
         cycles = list(cycles)
         prebuilt = boundaries if isinstance(boundaries, dict) else None
         boundaries = list(boundaries.values() if prebuilt is not None else boundaries)
-        self.n = n = next((v.n for v in cycles + boundaries if isinstance(v, GF2Vector)), n)
-        z = [_int(v) for v in cycles]
-        b = [_int(v) for v in boundaries]
+        self.n = n = n or next((v.n for v in cycles + boundaries if isinstance(v, GF2Vector)), 0)
+        z = _vector_ints(cycles, n, "cycle")
+        b = _vector_ints(boundaries, n, "boundary")
 
-        # The boundaries must lie inside the cycle space.
-        span: dict[int, int] = {}
-        for v in z:
-            _insert(span, v)
-        for i, v in enumerate(b):
-            if _insert(span, v)[0]:
-                raise MembershipError(f"boundary {i} is not in the span of the cycles")
-
-        table: dict[int, int] = {}  # lowest set bit -> stored row
-        if prebuilt is not None:
-            table.update(prebuilt)
-        else:
+        table = dict(prebuilt or {})  # lowest set bit -> stored row
+        if prebuilt is None:
             for v in b:
                 _insert(table, v)
         reps = [r for r, _ in (_insert(table, v) for v in z) if r]
+        if len(table) != _rank(z):
+            # some boundary is outside the cycle span; name the first one
+            span: dict[int, int] = {}
+            for v in z:
+                _insert(span, v)
+            i = next(i for i, v in enumerate(b) if _insert(span, v)[0])
+            raise MembershipError(f"boundary {i} is not in the span of the cycles")
         self.dim = len(reps)
         # Columns are the representatives, in quotient basis order.
-        self.representatives = GF2Matrix(self.dim, n, _words(reps, n)).transpose()
+        self.representatives = GF2Matrix(n, self.dim, _words(_transpose(reps, n), self.dim))
+        # The quotient basis rows come last in the table: they were inserted last.
+        self._table = table
+        self._apply: GF2Matrix | None = None  # built by the first coordinates call
+        self._free: list[int] = []
 
+    def _build_apply(self) -> None:
+        """The quotient-basis rows of the inverse pivot block, stacked over
+        the check rows at the non-pivot positions, as one matrix."""
+        n, dim = self.n, self.dim
+        stored = list(self._table.values())
+        m = len(stored)
         # Table rows: the quotient basis, then the boundary rows.  Going
         # down from the highest pivot, the coefficients that pick out pivot
         # p are p's own row plus those of the other pivots its row hits.
-        rows = reps + list(table.values())[: len(table) - len(reps)]
+        rows = stored[m - dim :] + stored[: m - dim]
         index = {r & -r: j for j, r in enumerate(rows)}
         mask = sum(index)
-        coeffs: dict[int, int] = {}
+        coeffs = [0] * n  # at each pivot, its coefficients on the table rows
         for low in sorted(index, reverse=True):
-            c, rest = 1 << index[low], (table[low] & mask) ^ low
+            c, rest = 1 << index[low], (self._table[low] & mask) ^ low
             while rest:
                 hit = rest & -rest
-                c ^= coeffs[hit]
+                c ^= coeffs[hit.bit_length() - 1]
                 rest ^= hit
-            coeffs[low] = c
-        m = len(rows)
-        pivots = [low.bit_length() - 1 for low in coeffs]
-        solve_t = GF2Matrix(n, m)
-        solve_t.words[pivots] = _words(coeffs.values(), m)
-        solve = solve_t.transpose()
-        # v - table^T (solve v) is zero at the pivots; the rows of it at the
-        # other positions must vanish.
-        self._free = free = _others(n, pivots)
-        rows_t = GF2Matrix(m, n, _words(rows, n)).transpose()
-        check = GF2Matrix(free.size, m, rows_t.words[free]) @ solve
-        check.words[np.arange(free.size), free >> 6] ^= _U64_1 << (free & 63).astype(np.uint64)
-        self._apply = GF2Matrix(self.dim + free.size, n, np.vstack([solve.words[: self.dim], check.words]))
+            coeffs[low.bit_length() - 1] = c
+        solve = _transpose(coeffs, m)  # row j: the pivots whose coefficients use table row j
+        # v - table^T (solve v) is zero at the pivots; its rows at the other
+        # positions must vanish.
+        self._free = free = [i for i, c in enumerate(coeffs) if not c]
+        on_rows = _transpose([r & ~mask for r in rows], n)  # per position, the rows that hit it
+        check = []
+        for f in free:
+            c, hits = 1 << f, on_rows[f]
+            while hits:
+                hit = hits & -hits
+                c ^= solve[hit.bit_length() - 1]
+                hits ^= hit
+            check.append(c)
+        self._apply = GF2Matrix(dim + len(free), n, _words(solve[:dim] + check, n))
+        self._table = None
 
     def representative(self, q: int) -> GF2Vector:
         """A cycle representative of the q-th quotient basis class."""
@@ -530,6 +545,8 @@ class QuotientSpace:
         MembershipError when a vector is not in the cycle span, which
         upstream means a broken chain map.
         """
+        if self._apply is None:
+            self._build_apply()
         vs = v if isinstance(v, GF2Matrix) else GF2Matrix.from_bool_array(_unpack(v.words, v.n)[:, None])
         out = self._apply @ vs
         residual = _unpack(out.words[self.dim :], vs.cols)
@@ -539,6 +556,50 @@ class QuotientSpace:
             raise MembershipError(f"vector has unreducible bit {bit}; not in the cycle span")
         coords = GF2Matrix(self.dim, vs.cols, out.words[: self.dim])
         return coords if vs is v else coords.column(0)
+
+
+def _vector_ints(vectors: list, n: int, what: str) -> list[int]:
+    """GF2Vectors of length n and ints below 1 << n, as ints (bit j is entry j)."""
+    if set(map(type, vectors)) <= {int} and (not vectors or min(vectors) >= 0 and max(vectors).bit_length() <= n):
+        return vectors
+    out = []
+    for i, v in enumerate(vectors):
+        if isinstance(v, GF2Vector):
+            if v.n != n:
+                raise ValidationError(f"{what} {i} has length {v.n}, not {n}")
+            out.append(int.from_bytes(v.words.tobytes(), "little"))
+        elif isinstance(v, int) and not isinstance(v, bool):
+            if v < 0:
+                raise ValidationError(f"{what} {i} is a negative int")
+            if v.bit_length() > n:
+                raise ValidationError(f"{what} {i} has bit {v.bit_length() - 1} set, past length {n}")
+            out.append(v)
+        else:
+            raise ValidationError(f"{what} {i} must be a GF2Vector or an int, got {type(v).__name__}")
+    return out
+
+
+def _rank(vectors: list[int]) -> int:
+    """Rank of a list of ints: its length when their highest set bits are
+    distinct and nonzero, as for a kernel basis, else by insertion."""
+    highest = set(map(int.bit_length, vectors))
+    if len(highest) == len(vectors) and 0 not in highest:
+        return len(vectors)
+    span: dict[int, int] = {}
+    return sum(1 for v in vectors if _insert(span, v)[0])
+
+
+def _transpose(ints: list[int], width: int) -> list[int]:
+    """Bit transpose of ints below 1 << width: entry b has bit i set iff
+    ints[i] has bit b set.  Costs one step per set bit, which suits the
+    sparse tables that differentials give."""
+    out = [0] * width
+    for i, x in enumerate(ints):
+        while x:
+            low = x & -x
+            out[low.bit_length() - 1] |= 1 << i
+            x ^= low
+    return out
 
 
 def _insert(
@@ -564,11 +625,6 @@ def _insert(
         if tags is not None:
             t ^= tags[low]
     return 0, t
-
-
-def _int(v) -> int:
-    """A GF2Vector or an int as an int, bit j being entry j."""
-    return v if isinstance(v, int) else int.from_bytes(v.words.tobytes(), "little")
 
 
 def reduce_columns(m: GF2Matrix) -> tuple[list[int], dict[int, int]]:
@@ -602,7 +658,7 @@ def _words(ints, cols: int) -> np.ndarray:
     """Python integers (bit j is column j) packed as rows of uint64 words."""
     ints = list(ints)
     nbytes = _nwords(cols) * 8
-    blob = bytearray(b"".join(x.to_bytes(nbytes, "little") for x in ints))
+    blob = bytearray(b"".join(map(int.to_bytes, ints, repeat(nbytes), repeat("little"))))
     return np.frombuffer(blob, dtype=np.uint64).reshape(len(ints), _nwords(cols))
 
 

@@ -119,16 +119,27 @@ def validate_morphism(m: ZndiagMorphism) -> ZndiagMorphism:
     return ZndiagMorphism(m.source, m.target, m.arcs, m.dots)
 
 
+def _checked(source, target, arcs, dots) -> ZndiagMorphism:
+    """A morphism from parts that already pass the constructor's checks,
+    arcs and dots sorted, without running them again."""
+    m = object.__new__(ZndiagMorphism)
+    for name, value in zip(("source", "target", "arcs", "dots"), (source, target, arcs, dots)):
+        object.__setattr__(m, name, value)
+    return m
+
+
 def identity_morphism(x) -> ZndiagMorphism:
     xs = validate_colors(x)
-    return ZndiagMorphism(xs, xs, tuple((i, i) for i in range(1, len(xs) + 1)))
+    return _checked(xs, xs, tuple((i, i) for i in range(1, len(xs) + 1)), ())
 
 
 def compose(a: ZndiagMorphism, b: ZndiagMorphism) -> ZndiagMorphism:
     """Concatenate a then b (diagrammatic order, a's target is b's source).
 
     Arcs chain through the middle; a middle point matched on neither side
-    becomes a dot of its color.
+    becomes a dot of its color.  The result needs no checks: its arcs,
+    sorted by source like a's, run weakly rightward through the middle and
+    join equal colors.
     """
     if a.target != b.source:
         raise CompositionError(
@@ -144,7 +155,7 @@ def compose(a: ZndiagMorphism, b: ZndiagMorphism) -> ZndiagMorphism:
         for j in range(1, a.n + 1)
         if j not in a_by_tgt and j not in b_by_src
     )
-    return ZndiagMorphism(a.source, b.target, arcs, a.dots + b.dots + closed)
+    return _checked(a.source, b.target, arcs, tuple(sorted(a.dots + b.dots + closed)))
 
 
 def parse_morphism(text: str) -> ZndiagMorphism:

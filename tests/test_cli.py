@@ -105,6 +105,14 @@ def test_unreadable_file_exits_1(capsys, tmp_path):
 
 
 _TORUS2 = json.loads(format_diagram(torus_two_n(2)))
+_BAD_X = {
+    "underscore": "1_0,2",
+    "arabic-indic-digit": "\u0663,2",
+    "fullwidth-digit": "\uff13,2",
+    "superscript-digit": "\u00b2,2",
+    "empty-entry": "1,,2",
+    "double-sign": "+-1,2",
+}
 
 
 @pytest.mark.parametrize(
@@ -123,6 +131,8 @@ _TORUS2 = json.loads(format_diagram(torus_two_n(2)))
         pytest.param("matrix --budget 0", {"matrix": [[1, 2], [3, 4]]}, id="budget-zero"),
         pytest.param("matrix --budget -1", {"matrix": [[1, 2], [3, 4]]}, id="budget-negative"),
         pytest.param("torus --n -1 --x 1", None, id="torus-n-negative"),
+        # --x takes ASCII [+-]?[0-9]+ entries only, unlike int()
+        *(pytest.param(f"torus --n 2 --x {x}", None, id=f"torus-x-{name}") for name, x in _BAD_X.items()),
     ],
 )
 def test_malformed_numbers_exit_1(capsys, tmp_path, command, payload):
@@ -135,7 +145,9 @@ def test_malformed_numbers_exit_1(capsys, tmp_path, command, payload):
     code, out, err = run(capsys, command, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    if argv[0] != "--file":
+    if argv[-1] in _BAD_X.values():
+        assert f"--x must be a comma-separated integer list, got {argv[-1]!r}" in err
+    elif argv[0] != "--file":
         assert "must be a positive integer" in err
 
 

@@ -1,0 +1,221 @@
+"""QuotientSpace against its former numpy construction, its input checks,
+and what its construction does and does not compute."""
+
+import random
+
+import numpy as np
+import pytest
+
+from vandercomplex import MembershipError, ValidationError, build_complex, torus_two_n
+from vandercomplex import gf2
+from vandercomplex.gf2 import GF2Matrix, GF2Vector, QuotientSpace
+from vandercomplex.zndiag import chain_map, cohomology_quotients, identity_morphism, induced_map_from
+
+
+class NumpyQuotient:
+    """The numpy construction QuotientSpace used before it built its
+    matrices from Python integers: three bit transposes, a product and a
+    vstack, all at construction.  Takes ints, or a prebuilt table as
+    boundaries."""
+
+    def __init__(self, cycles, boundaries, n):
+        prebuilt = boundaries if isinstance(boundaries, dict) else None
+        b = list(boundaries.values() if prebuilt is not None else boundaries)
+        z = list(cycles)
+        self.n = n
+        span: dict[int, int] = {}
+        for v in z:
+            gf2._insert(span, v)
+        for i, v in enumerate(b):
+            if gf2._insert(span, v)[0]:
+                raise MembershipError(f"boundary {i} is not in the span of the cycles")
+        table: dict[int, int] = dict(prebuilt or {})
+        if prebuilt is None:
+            for v in b:
+                gf2._insert(table, v)
+        reps = [r for r, _ in (gf2._insert(table, v) for v in z) if r]
+        self.dim = len(reps)
+        self.representatives = GF2Matrix(self.dim, n, gf2._words(reps, n)).transpose()
+        rows = reps + list(table.values())[: len(table) - len(reps)]
+        index = {r & -r: j for j, r in enumerate(rows)}
+        mask = sum(index)
+        coeffs: dict[int, int] = {}
+        for low in sorted(index, reverse=True):
+            c, rest = 1 << index[low], (table[low] & mask) ^ low
+            while rest:
+                hit = rest & -rest
+                c ^= coeffs[hit]
+                rest ^= hit
+            coeffs[low] = c
+        m = len(rows)
+        pivots = [low.bit_length() - 1 for low in coeffs]
+        solve_t = GF2Matrix(n, m)
+        solve_t.words[pivots] = gf2._words(coeffs.values(), m)
+        solve = solve_t.transpose()
+        self._free = free = gf2._others(n, pivots)
+        rows_t = GF2Matrix(m, n, gf2._words(rows, n)).transpose()
+        check = GF2Matrix(free.size, m, rows_t.words[free]) @ solve
+        check.words[np.arange(free.size), free >> 6] ^= np.uint64(1) << (free & 63).astype(np.uint64)
+        self._apply = GF2Matrix(self.dim + free.size, n, np.vstack([solve.words[: self.dim], check.words]))
+
+    coordinates = QuotientSpace.coordinates
+
+
+def _outcome(f, *args):
+    """f's result, or the type and text of the error it raised."""
+    try:
+        return f(*args)
+    except (MembershipError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_int(rng, n, density):
+    return sum(1 << j for j in range(n) if rng.random() < density)
+
+
+def _random_sum(rng, vectors):
+    out = 0
+    for v in vectors:
+        if rng.random() < 0.5:
+            out ^= v
+    return out
+
+
+def _inputs(rng, n):
+    """Cycles and boundaries (a list, or a table) of width n, some with
+    dependent or zero cycles, boundaries spanning the cycles (dimension
+    0), or a boundary outside their span."""
+    density = rng.choice((0.05, 0.3, 0.7))
+    cycles = [_random_int(rng, n, density) for _ in range(rng.randint(0, min(n, 12)))]
+    if cycles and rng.random() < 0.3:
+        cycles += [cycles[0] ^ cycles[-1], 0]
+    kind = rng.randrange(4)
+    if kind == 0:  # the boundaries span the cycles: dimension 0
+        boundaries = [_random_sum(rng, cycles) for _ in range(len(cycles))] + list(cycles)
+    elif kind == 1 and n:  # a boundary outside the cycle span, most likely
+        boundaries = [_random_sum(rng, cycles), _random_int(rng, n, 0.5)]
+    else:
+        boundaries = [_random_sum(rng, cycles) for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.5:  # the table that inserting the boundaries builds
+        table: dict[int, int] = {}
+        for v in boundaries:
+            gf2._insert(table, v)
+        boundaries = table
+    return cycles, boundaries
+
+
+WIDTHS = (0, 1, 2, 63, 64, 65, 127, 128, 129)
+
+
+def test_quotient_space_matches_numpy_construction():
+    rng = random.Random(71)
+    built = 0
+    for n in WIDTHS:
+        for _ in range(12):
+            cycles, boundaries = _inputs(rng, n)
+            ours = _outcome(QuotientSpace, cycles, boundaries, n)
+            ref = _outcome(NumpyQuotient, cycles, boundaries, n)
+            if isinstance(ref, tuple):  # the same MembershipError text
+                assert ours == ref
+                continue
+            built += 1
+            assert (ours.n, ours.dim) == (ref.n, ref.dim)
+            assert ours.representatives == ref.representatives
+            probes = [_random_sum(rng, cycles) for _ in range(5)]
+            probes += [_random_int(rng, n, 0.5) for _ in range(3)]  # mostly outside the span
+            vectors = [GF2Vector.from_bits([(v >> j) & 1 for j in range(n)]) for v in probes]
+            for v in vectors:  # single vectors
+                a, b = _outcome(ours.coordinates, v), _outcome(ref.coordinates, v)
+                assert a == b, (n, a, b)
+            bits = [[(v >> j) & 1 for v in probes] for j in range(n)]
+            batch = GF2Matrix.from_bool_array(np.array(bits, dtype=bool).reshape(n, len(probes)))
+            for cols in (batch, batch.submatrix(0, n, 0, 5), GF2Matrix(n, 0)):
+                a, b = _outcome(ours.coordinates, cols), _outcome(ref.coordinates, cols)
+                assert a == b, n
+    assert built > 60
+
+
+def test_empty_and_zero_dimensional_quotients():
+    for n in (0, 63, 64, 65):
+        for cycles, boundaries in (([], []), ([], {}), ([1, 3][: min(n, 2)], [1, 3][: min(n, 2)])):
+            q = QuotientSpace(cycles, boundaries, n)
+            ref = NumpyQuotient(cycles, boundaries, n)
+            assert q.dim == 0 and q.representatives == ref.representatives
+            assert (q.representatives.rows, q.representatives.cols) == (n, 0)
+            probe = GF2Matrix.identity(n)
+            assert _outcome(q.coordinates, probe) == _outcome(ref.coordinates, probe)
+            assert q.coordinates(GF2Matrix(n, 3)) == GF2Matrix(0, 3)
+
+
+def test_construction_makes_no_transpose_and_no_product(monkeypatch):
+    rng = random.Random(72)
+    cx = build_complex(torus_two_n(3), (2, 1, 2))
+    reduced = [gf2.reduce_columns(m) for m in cx.differentials]  # these transpose
+
+    def refuse(*args):
+        raise AssertionError("QuotientSpace construction ran a transpose or a product")
+
+    monkeypatch.setattr(GF2Matrix, "transpose", refuse)
+    monkeypatch.setattr(GF2Matrix, "__matmul__", refuse)
+    for k in range(1, len(reduced)):
+        QuotientSpace(reduced[k][0], reduced[k - 1][1], cx.level_dims[k])
+    for n in WIDTHS:
+        cycles, boundaries = _inputs(rng, n)
+        _outcome(QuotientSpace, cycles, boundaries, n)
+        vectors = [GF2Vector.from_bits([(v >> j) & 1 for j in range(n)]) for v in cycles]
+        _outcome(QuotientSpace, vectors, [], n)
+
+
+def test_coordinate_matrix_built_only_when_asked():
+    q = QuotientSpace([0b011, 0b110], [0b101], 3)
+    assert q._apply is None
+    assert q.representative(0).to_bits() == [0, 1, 1]  # 0b011 reduced by the boundary
+    assert q._apply is None
+    assert q.coordinates(GF2Vector.from_bits([0, 1, 1])).to_bits() == [1]
+    kept = q._apply
+    assert kept is not None
+    assert q.coordinates(GF2Vector.from_bits([1, 0, 1])).to_bits() == [0]
+    assert q._apply is kept
+    # induced maps ask only the target quotients of levels with source cohomology
+    cx = build_complex(torus_two_n(3), (2, 1, 2))
+    quotients = cohomology_quotients(cx)
+    assert all(q._apply is None for q in quotients)
+    induced_map_from(chain_map(torus_two_n(3), identity_morphism((2, 1, 2)), source_complex=cx), quotients, quotients)
+    assert [q._apply is not None for q in quotients] == [q.dim > 0 for q in quotients]
+    assert not all(q.dim > 0 for q in quotients)
+
+
+@pytest.mark.parametrize(
+    "cycles, boundaries, n, match",
+    [
+        pytest.param([1 << 10], [], 4, r"^cycle 0 has bit 10 set, past length 4$", id="bit-past-length"),
+        pytest.param([1, 1 << 70], [], 4, r"^cycle 1 has bit 70 set, past length 4$", id="beyond-64-bits"),
+        pytest.param([-3], [], 4, r"^cycle 0 is a negative int$", id="negative"),
+        pytest.param([True], [], 4, r"^cycle 0 must be a GF2Vector or an int, got bool$", id="bool"),
+        pytest.param([1.0], [], 4, r"^cycle 0 must be a GF2Vector or an int, got float$", id="float"),
+        pytest.param([1], [1 << 4], 4, r"^boundary 0 has bit 4 set, past length 4$", id="boundary"),
+        pytest.param([1], {16: 16}, 4, r"^boundary 0 has bit 4 set, past length 4$", id="table-row"),
+        pytest.param(
+            [GF2Vector.from_bits([1, 0, 0, 0]), GF2Vector.from_bits([1, 0, 0, 0, 1])],
+            [], 0, r"^cycle 1 has length 5, not 4$", id="vector-lengths-differ",
+        ),
+        pytest.param(
+            [GF2Vector.from_bits([1, 0, 0])], [GF2Vector.from_bits([1, 0])], 0,
+            r"^boundary 0 has length 2, not 3$", id="boundary-length-differs",
+        ),
+        pytest.param([GF2Vector.from_bits([1, 0, 0])], [], 4, r"^cycle 0 has length 3, not 4$", id="not-n"),
+    ],
+)
+def test_bad_vectors_raise_one_line_validation_errors(cycles, boundaries, n, match):
+    with pytest.raises(ValidationError, match=match):
+        QuotientSpace(cycles, boundaries, n)
+
+
+def test_boundary_outside_span_is_named():
+    with pytest.raises(MembershipError, match=r"^boundary 1 is not in the span of the cycles$"):
+        QuotientSpace([0b0011, 0b0110], [0b0101, 0b1000, 0b0100], 4)
+    # dependent cycles take the insertion route to their rank
+    q = QuotientSpace([0b0011, 0b0110, 0b0101, 0], [0b0101], 4)
+    assert q.dim == 1
+    with pytest.raises(MembershipError, match=r"^boundary 0 is not in the span of the cycles$"):
+        QuotientSpace([0b0011, 0b0110, 0b0101], [0b1000], 4)

@@ -63,6 +63,20 @@ def test_compose_identity_laws():
         assert compose(m, identity_morphism(y)) == m
 
 
+def test_compose_and_identity_outputs_pass_every_check():
+    # both build their result without re-running the constructor checks
+    rng = random.Random(42)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        x, y, z = (tuple(rng.randint(1, 3) for _ in range(n)) for _ in range(3))
+        a, b = random_morphism(rng, x, y), random_morphism(rng, y, z)
+        for m in (compose(a, b), compose(identity_morphism(x), a), identity_morphism(x)):
+            checked = validate_morphism(m)
+            assert m == checked and repr(m) == repr(checked) and hash(m) == hash(checked)
+    # colors given as floats come out as the ints the constructor gives
+    assert repr(identity_morphism((2.0, 1))) == repr(ZndiagMorphism((2, 1), (2, 1), ((1, 1), (2, 2))))
+
+
 def test_compose_chains_arcs():
     a = ZndiagMorphism((1, 2, 2), (2, 1, 2), ((1, 2),))
     b = ZndiagMorphism((2, 1, 2), (2, 2, 1), ((2, 3),))
