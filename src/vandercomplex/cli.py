@@ -26,10 +26,18 @@ from .zndiag import chain_map, induced_map_from, parse_morphism
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"error: {message}\n")
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """The argparse type of the integer flags: ASCII digits only, since
+    int() alone would also take `1_0`, spaces and non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"must be an integer in ASCII digits, got {text!r}")
+    return int(text)
 
 
 def _parse_colors(text: str) -> tuple[int, ...]:
@@ -55,14 +63,14 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--budget", type=int, default=DEFAULT_DIM_BUDGET,
+        p.add_argument("--budget", type=_integer, default=DEFAULT_DIM_BUDGET,
                        help="cap on the total basis elements of a complex whose "
                             "cohomology or chain maps are computed")
         p.add_argument("--skip-homology", action="store_true",
                        help="dimensions and Euler characteristic only")
 
     p = sub.add_parser("torus", help="two-strand torus closure with n crossings")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--x", required=True, help="comma-separated color vector")
     common(p)
 
@@ -77,13 +85,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("zmap", help="chain map and induced maps of a morphism file")
     p.add_argument("--file", required=True, help="morphism file")
-    p.add_argument("--n", type=int, help="use the n-crossing torus closure")
+    p.add_argument("--n", type=_integer, help="use the n-crossing torus closure")
     p.add_argument("--diagram", help="use a diagram file instead of --n")
     common(p)
 
     p = sub.add_parser("check", help="run the full property suite")
     p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument("--seed", type=int, default=None, help="override the suite's fixed seed")
+    p.add_argument("--seed", type=_integer, default=None, help="override the suite's fixed seed")
     return parser
 
 

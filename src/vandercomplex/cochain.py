@@ -350,7 +350,8 @@ class HomologyReport:
 
 
 def homology(cx: CochainComplex) -> HomologyReport:
-    """Cohomology dimensions of a built complex by dense elimination.
+    """Cohomology dimensions of a built complex from the ranks of its
+    whole-level differentials.
 
     dim H^k = dim C^k - rank d^k - rank d^(k-1), with the maps off either
     end treated as zero.  This is the independent check on the summand

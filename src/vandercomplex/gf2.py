@@ -1,24 +1,26 @@
 """Exact linear algebra over the two-element field.
 
-Matrices are dense bit matrices packed row-major into 64-bit words, so a
-row operation is a handful of word XORs and elimination runs at memory
-speed through numpy.  Packing, products, kernels and quotient coordinates
-are whole-array operations.  Everything here is deterministic: pivots are
-chosen as the first nonzero row at the lowest row index, and quotient
-coordinates always reduce against the lowest set bit first, so identical
-inputs give identical output bits on every run.
+Matrices are dense bit matrices packed row-major into 64-bit words.
+Packing and products are whole-array numpy operations.
 
-Reductions that build tables run on Python integers, one per vector, each
-reduced by the stored row at its lowest set bit: `reduce_columns` reduces
-a differential's columns once, giving both its kernel basis and the
-boundary table of the next level, and `QuotientSpace` inserts its cycles
-the same way and builds its matrices from the resulting integers, moving
-one set bit at a time, which suits the sparse tables of differentials.
+There is one elimination rule, and it runs on Python integers, one per
+vector: a vector is reduced by the stored row at its lowest set bit until
+that bit is free, and then stored there (`_insert`).  `rank` counts the
+rows of a matrix that get stored; `reduce_columns` reduces a
+differential's columns once, giving both its kernel basis (which
+`nullspace_basis` returns) and the boundary table of the next level; and
+`QuotientSpace` inserts its cycles the same way and builds its matrices
+from the resulting integers, moving one set bit at a time, which suits
+the sparse tables of differentials.  Everything here is deterministic:
+vectors are inserted in their given order and always reduce against the
+lowest set bit first, so identical inputs give identical output bits on
+every run.
 
 Vectors carry their own packed words.  Matrix values are treated as
-immutable by the rest of the package; rank and reduction work on private
-copies.  A product reads the set bits of its left factor as (row, column)
-pairs, and only pays for work that is nonzero and not already known:
+immutable by the rest of the package; rank and reduction read them one
+row at a time into integers of their own.  A product reads the set bits
+of its left factor as (row, column) pairs, and only pays for work that is
+nonzero and not already known:
 
 - a matrix built from positions keeps them, so its first product groups
   them by row instead of reading them back off the words.  That is every
@@ -75,13 +77,6 @@ def _pack(bits) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def _others(n: int, taken) -> np.ndarray:
-    """The indices below n that are not in taken, ascending."""
-    keep = np.ones(n, dtype=bool)
-    keep[taken] = False
-    return np.flatnonzero(keep)
-
-
 def _unpack(words: np.ndarray, cols: int) -> np.ndarray:
     """The first `cols` bits of each row of packed words, as 0/1 uint8."""
     bits = np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=-1, bitorder="little")
@@ -115,13 +110,6 @@ class GF2Vector:
 
     def is_zero(self) -> bool:
         return not self.words.any()
-
-    def lowest_set_bit(self) -> int | None:
-        for w, word in enumerate(self.words):
-            word = int(word)
-            if word:
-                return (w << 6) + ((word & -word).bit_length() - 1)
-        return None
 
     def support(self) -> list[int]:
         """Indices of the set bits, ascending."""
@@ -270,13 +258,6 @@ class GF2Matrix:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _row_support(self, i: int) -> np.ndarray:
-        row = self.words[i]
-        if not row.any():
-            return np.empty(0, dtype=np.int64)
-        bits = np.unpackbits(row.view(np.uint8), bitorder="little")[: self.cols]
-        return np.nonzero(bits)[0]
-
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
         """Sparse product: each output row XORs the rows of other that self selects.
 
@@ -291,6 +272,11 @@ class GF2Matrix:
             raise ValidationError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
+        return self._times(other)
+
+    def _times(self, other: "GF2Matrix", scan_other: bool = True) -> "GF2Matrix":
+        """self @ other for matching shapes; scan_other=False skips looking
+        for set bits in other, for a caller that has found them already."""
         out = GF2Matrix(self.rows, other.cols)
         # a pair gathers one row of other and keeps four index words
         budget = max(64, CHUNK_WORDS // (other.words.shape[1] + 4))
@@ -302,7 +288,7 @@ class GF2Matrix:
                 kept = self._keep_support(_by_row(rows[order], cols[order]))
             elif not self.words.any():
                 kept = self._keep_support(_NO_PAIRS)
-        if (kept is not None and not kept[0].size) or not other.words.any():
+        if (kept is not None and not kept[0].size) or (scan_other and not other.words.any()):
             return out
         chunks = [kept] if kept is not None and kept[0].size <= budget else self._chunks(budget)
         for gather, starts, targets in chunks:
@@ -336,41 +322,35 @@ class GF2Matrix:
             yield chunk
 
     def compose_is_zero(self, other: "GF2Matrix") -> bool:
-        """True iff self @ other is the zero matrix, without storing it."""
+        """True iff self @ other is the zero matrix.
+
+        The product is taken in blocks of self's rows whose packed output
+        stays under CHUNK_WORDS words and the byte ceiling, so the check
+        answers whenever both factors exist.  A pair that fits one block
+        multiplies self itself, which keeps its support; otherwise other
+        is searched for set bits once, not once per block.
+        """
         if self.cols != other.rows:
             raise ValidationError("shape mismatch in composition")
-        for i in range(self.rows):
-            idx = self._row_support(i)
-            if idx.size and np.bitwise_xor.reduce(other.words[idx], axis=0).any():
-                return False
-        return True
-
-    def mul_vector(self, v: GF2Vector) -> GF2Vector:
-        if v.n != self.cols:
-            raise ValidationError("vector length does not match matrix columns")
-        parities = np.bitwise_count(self.words & v.words).sum(axis=1) & 1
-        return GF2Vector(self.rows, _pack(parities[None])[0])
+        step = max(1, min(CHUNK_WORDS, MAX_MATRIX_BYTES >> 3) // max(1, _nwords(other.cols)))
+        if self.rows <= step:
+            return (self @ other).is_zero()
+        return not other.words.any() or all(
+            GF2Matrix(len(block), self.cols, block)._times(other, scan_other=False).is_zero()
+            for block in (self.words[lo : lo + step] for lo in range(0, self.rows, step))
+        )
 
     # -- elimination ----------------------------------------------------
 
     def rank(self) -> int:
-        work = self.words.copy()
-        return len(_eliminate(work, self.rows, self.cols, full=False))
-
-    def rref(self) -> tuple["GF2Matrix", list[int]]:
-        """Reduced row echelon form and its pivot columns."""
-        work = self.words.copy()
-        pivots = _eliminate(work, self.rows, self.cols, full=True)
-        return GF2Matrix(self.rows, self.cols, work), pivots
+        """The number of rows that insertion by lowest set bit stores."""
+        return _stored(_ints(self.words))
 
     def nullspace_basis(self) -> list[GF2Vector]:
-        """Basis of the right kernel, one vector per free column, ascending."""
-        reduced, pivots = self.rref()
-        free = _others(self.cols, pivots)
-        bits = np.zeros((free.size, self.cols), dtype=np.uint8)
-        bits[np.arange(free.size), free] = 1
-        bits[:, pivots] = _unpack(reduced.words[: len(pivots)], self.cols)[:, free].T
-        return [GF2Vector(self.cols, words) for words in _pack(bits)]
+        """Basis of the right kernel, one vector per free column, ascending:
+        the kernel tags of `reduce_columns`."""
+        kernel, _ = reduce_columns(self)
+        return [GF2Vector(self.cols, words) for words in _words(kernel, self.cols)]
 
 
 _NO_PAIRS = (np.empty(0, dtype=np.int64),) * 3
@@ -409,38 +389,6 @@ def _from_level_triplets(shapes, level, rows, cols) -> list[GF2Matrix]:
         m._keep_positions(rows[cuts[k] : cuts[k + 1]], cols[cuts[k] : cuts[k + 1]])
         out.append(m)
     return out
-
-
-def _eliminate(words: np.ndarray, nrows: int, cols: int, full: bool) -> list[int]:
-    """In-place Gaussian elimination; returns the pivot columns.
-
-    full=False leaves row echelon form (enough for rank), full=True clears
-    above the pivots too.  Pivot rows are chosen as the first nonzero row
-    from the top, which fixes the output bit for bit.
-    """
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= nrows:
-            break
-        w, b = divmod(c, 64)
-        bit = _U64_1 << np.uint64(b)
-        candidates = np.nonzero(words[r:, w] & bit)[0]
-        if candidates.size == 0:
-            continue
-        p = r + int(candidates[0])
-        if p != r:
-            words[[r, p]] = words[[p, r]]
-        if full:
-            hits = np.nonzero(words[:, w] & bit)[0]
-            hits = hits[hits != r]
-        else:
-            hits = np.nonzero(words[r + 1 :, w] & bit)[0] + (r + 1)
-        if hits.size:
-            words[hits] ^= words[r]
-        pivots.append(c)
-        r += 1
-    return pivots
 
 
 class QuotientSpace:
@@ -585,8 +533,13 @@ def _rank(vectors: list[int]) -> int:
     highest = set(map(int.bit_length, vectors))
     if len(highest) == len(vectors) and 0 not in highest:
         return len(vectors)
-    span: dict[int, int] = {}
-    return sum(1 for v in vectors if _insert(span, v)[0])
+    return _stored(vectors)
+
+
+def _stored(vectors) -> int:
+    """How many of the ints insertion stores, one after another: their rank."""
+    table: dict[int, int] = {}
+    return sum(1 for v in vectors if _insert(table, v)[0])
 
 
 def _transpose(ints: list[int], width: int) -> list[int]:
@@ -635,23 +588,24 @@ def reduce_columns(m: GF2Matrix) -> tuple[list[int], dict[int, int]]:
     that vanish, which is the kernel basis `nullspace_basis` gives (the tag
     of free column j is supported on j and earlier pivot columns, and that
     kernel vector is unique), and the stored columns, which are the table
-    a QuotientSpace builds from m's columns as boundaries.
+    a QuotientSpace builds from m's columns as boundaries.  The columns
+    are a bit transpose of m's rows as ints, which unpacks nothing and
+    suits the sparse differentials.
     """
     table: dict[int, int] = {}  # lowest set bit -> stored column
     tags: dict[int, int] = {}
     kernel = []
-    for j, v in enumerate(_ints(m.transpose().words)):
+    for j, v in enumerate(_transpose(list(_ints(m.words)), m.cols)):
         row, t = _insert(table, v, tags, 1 << j)
         if not row:
             kernel.append(t)
     return kernel, table
 
 
-def _ints(words: np.ndarray) -> list[int]:
-    """Each row of packed words as an int, bit j being column j."""
-    nbytes = words.shape[1] * 8
-    blob = words.tobytes()
-    return [int.from_bytes(blob[i * nbytes : (i + 1) * nbytes], "little") for i in range(len(words))]
+def _ints(words: np.ndarray):
+    """Each row of packed words as an int, bit j being column j, read one
+    row at a time, so that `rank` never copies the whole matrix."""
+    return (int.from_bytes(row, "little") for row in words)
 
 
 def _words(ints, cols: int) -> np.ndarray:
@@ -661,7 +615,3 @@ def _words(ints, cols: int) -> np.ndarray:
     blob = bytearray(b"".join(map(int.to_bytes, ints, repeat(nbytes), repeat("little"))))
     return np.frombuffer(blob, dtype=np.uint64).reshape(len(ints), _nwords(cols))
 
-
-def coset_coordinates(cycles, boundaries, v: GF2Vector) -> GF2Vector:
-    """Coordinates of v's class in span(cycles)/span(boundaries)."""
-    return QuotientSpace(cycles, boundaries).coordinates(v)

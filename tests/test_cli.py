@@ -7,7 +7,10 @@ from vandercomplex.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses a flag value before main runs
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -113,6 +116,13 @@ _BAD_X = {
     "empty-entry": "1,,2",
     "double-sign": "+-1,2",
 }
+# --n, --budget and --seed take ASCII [+-]?[0-9]+ only, like --x
+_BAD_INT = {
+    "torus-n-arabic-indic-digit": "torus --n \u0663 --x 1,2,3",
+    "torus-n-underscore": "torus --n 1_0 --x 1,2,3",
+    "budget-arabic-indic-digit": "torus --n 3 --x 1,2,3 --budget \u0661\u0660\u0660",
+    "check-seed-arabic-indic-digit": "check --seed \u0667",
+}
 
 
 @pytest.mark.parametrize(
@@ -133,9 +143,11 @@ _BAD_X = {
         pytest.param("torus --n -1 --x 1", None, id="torus-n-negative"),
         # --x takes ASCII [+-]?[0-9]+ entries only, unlike int()
         *(pytest.param(f"torus --n 2 --x {x}", None, id=f"torus-x-{name}") for name, x in _BAD_X.items()),
+        *(pytest.param(line, None, id=name) for name, line in _BAD_INT.items()),
     ],
 )
 def test_malformed_numbers_exit_1(capsys, tmp_path, command, payload):
+    line = command
     command, *argv = command.split()
     if payload is not None:
         path = tmp_path / "input.json"
@@ -147,6 +159,8 @@ def test_malformed_numbers_exit_1(capsys, tmp_path, command, payload):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     if argv[-1] in _BAD_X.values():
         assert f"--x must be a comma-separated integer list, got {argv[-1]!r}" in err
+    elif line in _BAD_INT.values():
+        assert "must be an integer in ASCII digits" in err
     elif argv[0] != "--file":
         assert "must be a positive integer" in err
 

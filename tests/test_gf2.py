@@ -5,7 +5,8 @@ import pytest
 
 from vandercomplex import MembershipError, ValidationError
 from vandercomplex import gf2
-from vandercomplex.gf2 import GF2Matrix, GF2Vector, QuotientSpace, coset_coordinates
+from vandercomplex.errors import SizeError
+from vandercomplex.gf2 import GF2Matrix, GF2Vector, QuotientSpace
 
 
 def naive_rank(rows):
@@ -130,6 +131,11 @@ def test_rank_against_naive_reference():
         rows, cols = rng.randint(0, 64), rng.randint(1, 64)
         m = random_matrix(rng, rows, cols)
         assert m.rank() == naive_rank(m.to_rows())
+    # word-boundary widths, zero rows, sparse, dense and repeated rows
+    for rows, cols in SHAPES:
+        for density in (0.05, 0.5, 1.0):
+            m = random_matrix(rng, rows, cols, density)
+            assert m.rank() == naive_rank(m.to_rows())
 
 
 def test_rank_transpose_up_to_512():
@@ -144,15 +150,6 @@ def test_rank_does_not_mutate():
     before = m.words.copy()
     m.rank()
     assert np.array_equal(m.words, before)
-
-
-def test_elimination_deterministic():
-    rng = random.Random(2)
-    m = random_matrix(rng, 40, 40)
-    r1, p1 = m.rref()
-    r2, p2 = m.copy().rref()
-    assert p1 == p2
-    assert np.array_equal(r1.words, r2.words)
 
 
 def test_nullspace_examples():
@@ -178,15 +175,14 @@ def test_nullspace_properties():
         m = random_matrix(rng, rng.randint(1, 40), rng.randint(1, 40))
         basis = m.nullspace_basis()
         assert m.cols == m.rank() + len(basis)
-        for v in basis:
-            assert m.mul_vector(v).is_zero()
-        # basis vectors are independent: stack them and check full rank
+        # basis vectors lie in the kernel and are independent
         if basis:
             stacked = GF2Matrix.from_rows([v.to_bits() for v in basis])
+            assert (m @ stacked.transpose()).is_zero()
             assert stacked.rank() == len(basis)
 
 
-def test_matmul_and_mul_vector_against_naive(monkeypatch):
+def test_matmul_against_naive(monkeypatch):
     rng = random.Random(4)
     for _ in range(20):
         a = random_matrix(rng, rng.randint(1, 30), rng.randint(1, 30))
@@ -196,9 +192,6 @@ def test_matmul_and_mul_vector_against_naive(monkeypatch):
         za, zb = GF2Matrix.zeros(a.rows, a.cols), GF2Matrix.zeros(b.rows, b.cols)
         for left, right in ((za, b), (a, zb), (za, zb)):
             assert (left @ right).to_rows() == naive_mul(left.to_rows(), right.to_rows())
-        v = GF2Vector.from_bits([rng.randint(0, 1) for _ in range(a.cols)])
-        expected = [sum(r * x for r, x in zip(row, v.to_bits())) % 2 for row in a.to_rows()]
-        assert a.mul_vector(v).to_bits() == expected
     # word-boundary widths, zero rows, sparse and dense left factors
     for i, (rows, inner) in enumerate(SHAPES):
         cols = WIDTHS[i % len(WIDTHS)]
@@ -212,11 +205,6 @@ def test_matmul_and_mul_vector_against_naive(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(gf2, "CHUNK_WORDS", 1)
             assert a @ b == prod
-        v = GF2Vector.from_bits([rng.randint(0, 1) for _ in range(inner)])
-        image = a.mul_vector(v)
-        assert image.to_bits() == [sum(r * x for r, x in zip(row, v.to_bits())) % 2 for row in a.to_rows()]
-        assert image.n == rows
-        assert_padding_clear(image.words, rows)
 
 
 def test_matmul_keeps_left_support(monkeypatch):
@@ -267,7 +255,8 @@ def test_reduce_columns_against_nullspace_and_boundary_table():
     for i, (rows, cols) in enumerate(SHAPES + [(40, 90), (90, 40)]):
         m = random_matrix(rng, rows, cols, (0.05, 0.3, 0.7)[i % 3])
         kernel, table = gf2.reduce_columns(m)
-        assert kernel == [sum(1 << j for j in v.support()) for v in m.nullspace_basis()]
+        naive = naive_nullspace(m.to_rows(), cols)
+        assert kernel == [sum(bit << j for j, bit in enumerate(v)) for v in naive]
         whole = [1 << j for j in range(rows)]
         ours = QuotientSpace(whole, table, rows)
         ref = QuotientSpace(map(GF2Vector.from_bits, np.eye(rows, dtype=int).tolist()), m.columns(), rows)
@@ -276,11 +265,81 @@ def test_reduce_columns_against_nullspace_and_boundary_table():
         assert ours.coordinates(probes) == ref.coordinates(probes)
 
 
+def kernel_columns(rng, a, cols):
+    """An a.cols-by-cols matrix whose columns are random sums of a's kernel
+    vectors (from the naive reference), so that a @ it is zero."""
+    kernel = naive_nullspace(a.to_rows(), a.cols)
+    columns = [[0] * a.cols for _ in range(cols)]
+    for c in columns:
+        for v in kernel:
+            if rng.random() < 0.5:
+                c[:] = [x ^ y for x, y in zip(c, v)]
+    bits = [(i, j) for j, c in enumerate(columns) for i, bit in enumerate(c) if bit]
+    return GF2Matrix.from_triplets(a.cols, cols, bits)
+
+
 def test_compose_is_zero():
     a = GF2Matrix.from_rows([[1, 1], [0, 0]])
     b = GF2Matrix.from_rows([[1, 0], [1, 0]])
     assert a.compose_is_zero(b)
     assert not a.compose_is_zero(GF2Matrix.identity(2))
+    with pytest.raises(ValidationError):
+        a.compose_is_zero(GF2Matrix.identity(3))
+    # against the naive product, at word-boundary widths and zero rows, on
+    # random right factors and on right factors built from the kernel
+    rng = random.Random(18)
+    for i, (rows, inner) in enumerate(SHAPES):
+        cols = WIDTHS[i % len(WIDTHS)]
+        a = random_matrix(rng, rows, inner, (0.02, 0.5, 1.0)[i % 3])
+        for b in (random_matrix(rng, inner, cols, 0.1), kernel_columns(rng, a, cols)):
+            expected = not any(map(any, naive_mul(a.to_rows(), b.to_rows())))
+            assert a.compose_is_zero(b) == expected
+
+
+def test_compose_is_zero_in_row_blocks(monkeypatch):
+    # with two words per block, a 65-row left factor against a one-word
+    # right factor runs in 33 blocks of two rows (the last of one row)
+    rng = random.Random(19)
+    products = []
+    times = GF2Matrix._times
+
+    def counting(self, other, *args, **kwargs):
+        products.append(self.rows)
+        return times(self, other, *args, **kwargs)
+
+    monkeypatch.setattr(gf2, "CHUNK_WORDS", 2)
+    monkeypatch.setattr(GF2Matrix, "_times", counting)
+    for density in (0.05, 0.5):
+        a = random_matrix(rng, 65, 130, density)
+        b = kernel_columns(rng, a, 64)
+        products.clear()
+        assert a.compose_is_zero(b)
+        assert products == [2] * 32 + [1]
+        c = random_matrix(rng, 130, 64)
+        assert a.compose_is_zero(c) == (not any(map(any, naive_mul(a.to_rows(), c.to_rows()))))
+    # a right factor without set bits answers before any block product
+    products.clear()
+    assert a.compose_is_zero(GF2Matrix.zeros(130, 64))
+    assert products == []
+    # only the last row of the product is nonzero
+    last = GF2Matrix.from_triplets(65, 130, [(64, 0), (3, 1)])
+    c = GF2Matrix.from_triplets(130, 64, [(0, 5)])
+    products.clear()
+    assert not last.compose_is_zero(c)
+    assert products == [2] * 32 + [1]
+
+
+def test_compose_is_zero_past_the_byte_ceiling(monkeypatch):
+    # both factors fit the ceiling, their whole product would not; the
+    # check still answers
+    monkeypatch.setattr(gf2, "MAX_MATRIX_BYTES", 20_000)
+    a = GF2Matrix.from_triplets(2000, 1, [(i, 0) for i in range(2000)])
+    ones = GF2Matrix.from_triplets(1, 2000, [(0, j) for j in range(2000)])
+    with pytest.raises(SizeError):
+        a @ ones
+    assert not a.compose_is_zero(ones)
+    assert a.compose_is_zero(GF2Matrix.zeros(1, 2000))
+    assert GF2Matrix.zeros(2000, 1).compose_is_zero(ones)
 
 
 def test_from_triplets_duplicates_cancel(monkeypatch):
@@ -336,8 +395,6 @@ def test_column_row_access():
 def test_vector_support_and_bits():
     v = GF2Vector.from_bits([0, 1, 0, 0, 1, 1])
     assert v.support() == [1, 4, 5]
-    assert v.lowest_set_bit() == 1
-    assert GF2Vector.zeros(70).lowest_set_bit() is None
     rng = random.Random(9)
     for n in WIDTHS:
         bits = [rng.randint(0, 1) for _ in range(n)]
@@ -352,26 +409,26 @@ def test_vector_support_and_bits():
 def test_coset_coordinates_trivial_quotient():
     std = [GF2Vector.from_bits(row) for row in GF2Matrix.identity(4).to_rows()]
     v = GF2Vector.from_bits([1, 0, 1, 1])
-    assert coset_coordinates(std, [], v).to_bits() == [1, 0, 1, 1]
+    assert QuotientSpace(std, []).coordinates(v).to_bits() == [1, 0, 1, 1]
 
 
 def test_coset_coordinates_boundary_class_vanishes():
     cycles = [GF2Vector.from_bits(b) for b in ([1, 1, 0], [0, 1, 1], [1, 0, 1])]
     boundaries = [GF2Vector.from_bits([1, 1, 0])]
     v = GF2Vector.from_bits([1, 1, 0])
-    assert coset_coordinates(cycles, boundaries, v).to_bits().count(1) == 0
+    assert QuotientSpace(cycles, boundaries).coordinates(v).to_bits().count(1) == 0
 
 
 def test_coset_coordinates_zero_quotient():
     cycles = [GF2Vector.from_bits([1, 1])]
-    coords = coset_coordinates(cycles, cycles, GF2Vector.from_bits([1, 1]))
+    coords = QuotientSpace(cycles, cycles).coordinates(GF2Vector.from_bits([1, 1]))
     assert coords.n == 0
 
 
 def test_coset_membership_error():
     cycles = [GF2Vector.from_bits([1, 1, 0])]
     with pytest.raises(MembershipError):
-        coset_coordinates(cycles, [], GF2Vector.from_bits([0, 0, 1]))
+        QuotientSpace(cycles, []).coordinates(GF2Vector.from_bits([0, 0, 1]))
     # a boundary outside the cycle span is also rejected
     with pytest.raises(MembershipError):
         QuotientSpace(cycles, [GF2Vector.from_bits([1, 0, 0])])

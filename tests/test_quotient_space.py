@@ -52,7 +52,7 @@ class NumpyQuotient:
         solve_t = GF2Matrix(n, m)
         solve_t.words[pivots] = gf2._words(coeffs.values(), m)
         solve = solve_t.transpose()
-        self._free = free = gf2._others(n, pivots)
+        self._free = free = np.setdiff1d(np.arange(n), pivots)
         rows_t = GF2Matrix(m, n, gf2._words(rows, n)).transpose()
         check = GF2Matrix(free.size, m, rows_t.words[free]) @ solve
         check.words[np.arange(free.size), free >> 6] ^= np.uint64(1) << (free & 63).astype(np.uint64)
