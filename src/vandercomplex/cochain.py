@@ -12,15 +12,16 @@ colors whose smoothing does not change, and the connected merge-split map
 on the two colors that do.  Because the connected map only passes
 constant colorings through, each basis column has at most one output per
 cover edge, so the differentials assemble directly as sparse positions
-and pack into bit matrices at the end.  One assembler does this for the
-matrix complexes of `gendet` as well, which swap in unit-after-counit, and
-the chain maps of `zndiag` are built from the same constant maps.
+and become bit matrices, one integer per row, at the end.  One assembler
+does this for the matrix complexes of `gendet` as well, which swap in
+unit-after-counit, and the chain maps of `zndiag` are built from the same
+constant maps.
 
 Every such block is a sum of independent factors, one or two per
 position: a factor with k choices j adds j times its input and output
 steps to the pair's column and row.  `_block_matrices` expands the factors
 of all blocks of a complex or chain map at once with whole-array
-operations, and fills every level with one scatter.
+operations, and builds every level from one stacked set of positions.
 
 Circle identity across different smoothings is never needed: a changed
 color factor depends only on the two circle counts.
@@ -98,7 +99,7 @@ def _block_places(levels, offsets: list, digits: list) -> BlockPlaces:
 
 @dataclass
 class CochainComplex:
-    """Levels, per-block basis layouts, and packed differentials."""
+    """Levels, per-block basis layouts, and GF(2) differentials."""
 
     n: int
     level_perms: tuple[tuple[Perm, ...], ...]
@@ -187,9 +188,9 @@ def _block_matrices(shapes, level, r0, c0, k, mi, mo) -> list[GF2Matrix]:
 
     Block b sets, in matrix level[b], the bit at row r0[b] + sum_f j_f mo[b, f]
     and column c0[b] + sum_f j_f mi[b, f] for every choice 0 <= j_f < k[b, f].
-    Blocks are grouped by level in ascending order.  Every matrix's packed
-    size is checked first; then all blocks expand at once, factor by
-    factor, and one scatter fills every matrix.
+    Every matrix's packed size is checked against the byte ceiling first;
+    then all blocks expand at once, factor by factor, and one
+    `from_triplets` call builds every matrix.
     """
     for rows, cols in shapes:
         _check_bytes(rows, cols)
@@ -354,8 +355,12 @@ def homology(cx: CochainComplex) -> HomologyReport:
     whole-level differentials.
 
     dim H^k = dim C^k - rank d^k - rank d^(k-1), with the maps off either
-    end treated as zero.  This is the independent check on the summand
-    route of verify_euler and matrix_report.
+    end treated as zero.  The d² = 0 check composes consecutive
+    differentials row by row, stopping at the first nonzero row, and each
+    rank inserts a differential's row integers by their lowest set bit, so
+    neither builds anything as large as a dense level.  This is the
+    independent check on the summand route of verify_euler and
+    matrix_report.
     """
     t0 = perf_counter()
     if not cx.verify_d_squared():

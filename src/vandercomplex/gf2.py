@@ -1,41 +1,36 @@
 """Exact linear algebra over the two-element field.
 
-Matrices are dense bit matrices packed row-major into 64-bit words.
-Packing and products are whole-array numpy operations.
+A matrix is its shape and one Python integer per row, bit j of row i
+being entry (i, j); a vector is its length and one integer.  No row has a
+bit at or past the column count.  Integers cost memory only up to their
+highest set bit and combine with one XOR however wide they are, which
+suits both the sparse differentials of large complexes and the many small
+matrices of chain and induced maps, where the fixed cost of a numpy call
+would be most of the work.  A product XORs, for each row of the left
+factor, the rows of the right factor that its set bits select, one set bit
+at a time; `compose_is_zero` does the same row by row and stops at the
+first nonzero row, never building the product.  `words` packs the rows
+into 64-bit words when a caller wants them as an array.
 
-There is one elimination rule, and it runs on Python integers, one per
-vector: a vector is reduced by the stored row at its lowest set bit until
-that bit is free, and then stored there (`_insert`).  `rank` counts the
-rows of a matrix that get stored; `reduce_columns` reduces a
-differential's columns once, giving both its kernel basis (which
-`nullspace_basis` returns) and the boundary table of the next level; and
-`QuotientSpace` inserts its cycles the same way and builds its matrices
-from the resulting integers, moving one set bit at a time, which suits
-the sparse tables of differentials.  Everything here is deterministic:
-vectors are inserted in their given order and always reduce against the
-lowest set bit first, so identical inputs give identical output bits on
-every run.
+There is one elimination rule: a vector is reduced by the stored row at
+its lowest set bit until that bit is free, and then stored there
+(`_insert`).  `rank` counts the rows of a matrix that get stored;
+`reduce_columns` reduces a differential's columns once, giving both its
+kernel basis (which `nullspace_basis` returns) and the boundary table of
+the next level; and `QuotientSpace` inserts its cycles the same way and
+builds its matrices from the resulting integers.  Everything here is
+deterministic: vectors are inserted in their given order and always
+reduce against the lowest set bit first, so identical inputs give
+identical output bits on every run.
 
-Vectors carry their own packed words.  Matrix values are treated as
-immutable by the rest of the package; rank and reduction read them one
-row at a time into integers of their own.  A product reads the set bits
-of its left factor as (row, column) pairs, and only pays for work that is
-nonzero and not already known:
-
-- a matrix built from positions keeps them, so its first product groups
-  them by row instead of reading them back off the words.  That is every
-  `from_triplets` matrix, and every level of an assembled complex or chain
-  map, which `_from_level_triplets` fills with one scatter;
-- a matrix that has been the left factor of a product keeps its pairs for
-  the next one;
-- a product with an empty or all-zero factor returns the zero matrix at
-  once, recording the empty pairs of a left factor that has no set bits.
-
-A matrix that keeps positions or pairs has read-only words, so they cannot
-go stale.
+Matrix values are treated as immutable by the rest of the package.
+Indices outside a matrix, vector or quotient raise ValidationError, and
+entries must be integers: floats and bools are refused, not rounded.
 """
 
+from functools import reduce
 from itertools import repeat
+from operator import or_
 
 import numpy as np
 
@@ -44,15 +39,10 @@ from .errors import MembershipError, SizeError, ValidationError
 if not np.little_endian:  # pragma: no cover
     raise ImportError("bit packing relies on little-endian word layout")
 
-_U64_1 = np.uint64(1)
-
-# Hard ceiling on a single allocation (bytes of packed words).  Protects
-# against accidentally materializing matrices for oversized complexes.
+# Hard ceiling on the packed words of a matrix built dense (zeros, the
+# identity, a product, a level of an assembled complex).  Protects against
+# accidentally materializing matrices for oversized complexes.
 MAX_MATRIX_BYTES = 2 << 30
-
-# Words of temporaries a sparse product may hold at once; larger products
-# run in chunks.
-CHUNK_WORDS = 1 << 18
 
 
 def _nwords(cols: int) -> int:
@@ -69,6 +59,13 @@ def _check_bytes(rows: int, cols: int) -> None:
         )
 
 
+def _index(i, size: int, what: str, of: str) -> int:
+    """i as an int below size, or a ValidationError naming it and `of`."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < size:
+        raise ValidationError(f"{what} {i!r} is out of range for {of}")
+    return int(i)
+
+
 def _pack(bits) -> np.ndarray:
     """Pack a (rows, cols) array of nonzero-means-set into (rows, words) uint64."""
     rows, cols = np.shape(bits)
@@ -83,33 +80,55 @@ def _unpack(words: np.ndarray, cols: int) -> np.ndarray:
     return bits[..., :cols]
 
 
+def _integers(values: list, what: str) -> list[int]:
+    """values as Python ints: ints and numpy integers pass, and a float,
+    bool or other non-integer is refused."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values
+    bad = next((t for t in kinds if issubclass(t, bool) or not issubclass(t, (int, np.integer))), None)
+    if bad is not None:
+        raise ValidationError(f"{what} must be integers, got {bad.__name__}")
+    return list(map(int, values))
+
+
+def _bits_value(bits: list[int]) -> int:
+    """Integers as one int, bit j being bits[j] mod 2, in one pass."""
+    return int("".join("1" if b & 1 else "0" for b in reversed(bits)) or "0", 2)
+
+
 class GF2Vector:
-    """A length-n bit vector packed into 64-bit words."""
+    """A length-n bit vector held as one int, bit i being entry i."""
 
-    __slots__ = ("n", "words")
+    __slots__ = ("n", "value")
 
-    def __init__(self, n: int, words: np.ndarray):
+    def __init__(self, n: int, value: int = 0):
         self.n = n
-        self.words = words
+        self.value = value
 
     @classmethod
     def zeros(cls, n: int) -> "GF2Vector":
-        return cls(n, np.zeros(_nwords(n), dtype=np.uint64))
+        return cls(n)
 
     @classmethod
     def from_bits(cls, bits) -> "GF2Vector":
-        bits = np.fromiter(bits, dtype=np.int64) & 1
-        return cls(len(bits), _pack(bits[None])[0])
+        """Integer entries, read mod 2."""
+        bits = _integers(list(bits), "vector entries")
+        return cls(len(bits), _bits_value(bits))
+
+    @property
+    def words(self) -> np.ndarray:
+        """The bits packed into read-only 64-bit words."""
+        return _words([self.value], self.n)[0]
 
     def copy(self) -> "GF2Vector":
-        return GF2Vector(self.n, self.words.copy())
+        return GF2Vector(self.n, self.value)
 
     def get(self, i: int) -> int:
-        w, b = divmod(i, 64)
-        return int(self.words[w] >> np.uint64(b)) & 1
+        return (self.value >> _index(i, self.n, "index", f"a vector of length {self.n}")) & 1
 
     def is_zero(self) -> bool:
-        return not self.words.any()
+        return not self.value
 
     def support(self) -> list[int]:
         """Indices of the set bits, ascending."""
@@ -121,32 +140,26 @@ class GF2Vector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GF2Vector):
             return NotImplemented
-        return self.n == other.n and bool(np.array_equal(self.words, other.words))
+        return self.n == other.n and self.value == other.value
 
     def __repr__(self) -> str:
         return f"GF2Vector({''.join(map(str, self.to_bits()))})"
 
 
 class GF2Matrix:
-    """A rows-by-cols bit matrix over GF(2), word-packed per row.
+    """A rows-by-cols bit matrix over GF(2), one int per row in `ints`."""
 
-    Bits past `cols` in the last word of each row are kept zero so whole
-    rows can be combined with word operations.
-    """
+    __slots__ = ("rows", "cols", "ints")
 
-    __slots__ = ("rows", "cols", "words", "_positions", "_support")
-
-    def __init__(self, rows: int, cols: int, words: np.ndarray | None = None):
+    def __init__(self, rows: int, cols: int, ints: list[int] | None = None):
         if rows < 0 or cols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")
-        if words is None:
+        if ints is None:
             _check_bytes(rows, cols)
-            words = np.zeros((rows, _nwords(cols)), dtype=np.uint64)
+            ints = [0] * rows
         self.rows = rows
         self.cols = cols
-        self.words = words
-        self._positions = None  # (rows, cols) the matrix was built from
-        self._support = None  # set by the first product that fits one chunk
+        self.ints = ints
 
     # -- construction -------------------------------------------------
 
@@ -156,69 +169,71 @@ class GF2Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
-        m = cls(n, n)
-        i = np.arange(n)
-        m.words[i, i >> 6] = _U64_1 << (i & 63).astype(np.uint64)
-        return m
+        _check_bytes(n, n)
+        return cls(n, n, [1 << i for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows) -> "GF2Matrix":
+        """Rows of integer entries, read mod 2."""
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValidationError("rows have differing lengths")
-        bits = np.array(rows, dtype=np.int64).reshape(len(rows), ncols) & 1
-        return cls(len(rows), ncols, _pack(bits))
+        return cls(len(rows), ncols, [_bits_value(_integers(r, "matrix entries")) for r in rows])
 
     @classmethod
     def from_triplets(cls, rows: int, cols: int, coords) -> "GF2Matrix":
-        """Build from (row, col) positions; repeated positions cancel mod 2."""
-        m = cls(rows, cols)
-        arr = np.asarray(list(coords) if not isinstance(coords, np.ndarray) else coords, dtype=np.int64)
-        if arr.size == 0:
-            return m
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValidationError("coords must be pairs (row, col)")
-        r = arr[:, 0]
-        c = arr[:, 1]
-        top = arr.max(axis=0)
-        if arr.min() < 0 or top[0] >= rows or top[1] >= cols:
+        """Build from (row, col) positions; repeated positions cancel mod 2.
+
+        coords is an integer array of shape (k, 2), checked by its dtype
+        alone, or an iterable of pairs of integers, checked entry by entry;
+        floats and bools are refused.  The byte ceiling is not applied here:
+        callers that build large matrices check it first, as assembly does
+        for each level.
+        """
+        r, c = _positions(coords)
+        if r and (min(r) < 0 or max(r) >= rows or min(c) < 0 or max(c) >= cols):
             raise ValidationError("triplet coordinate out of range")
-        np.bitwise_xor.at(
-            m.words,
-            (r, c >> 6),
-            _U64_1 << (c & 63).astype(np.uint64),
-        )
-        m._keep_positions(r, c)
+        m = cls(rows, cols, [0] * rows)
+        ints = m.ints
+        for i, j in zip(r, c):
+            ints[i] ^= 1 << j
         return m
 
-    def _keep_positions(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Keep the positions self was built from for its first product."""
-        self._positions = (rows, cols)
-        self.words.flags.writeable = False
+    @classmethod
+    def from_bool_array(cls, arr: np.ndarray) -> "GF2Matrix":
+        return cls(*np.shape(arr), _ints(_pack(arr)))
 
     # -- element access ------------------------------------------------
 
+    @property
+    def words(self) -> np.ndarray:
+        """The rows packed into read-only (rows, words) uint64, bit j of
+        row i at bit j % 64 of word j // 64."""
+        return _words(self.ints, self.cols)
+
+    def _shape(self) -> str:
+        return f"a {self.rows}x{self.cols} matrix"
+
     def get(self, i: int, j: int) -> int:
-        w, b = divmod(j, 64)
-        return int(self.words[i, w] >> np.uint64(b)) & 1
+        i = _index(i, self.rows, "row", self._shape())
+        return (self.ints[i] >> _index(j, self.cols, "column", self._shape())) & 1
 
     def copy(self) -> "GF2Matrix":
-        return GF2Matrix(self.rows, self.cols, self.words.copy())
+        return GF2Matrix(self.rows, self.cols, list(self.ints))
 
     def row(self, i: int) -> GF2Vector:
-        return GF2Vector(self.cols, self.words[i].copy())
+        return GF2Vector(self.cols, self.ints[_index(i, self.rows, "row", self._shape())])
 
     def column(self, j: int) -> GF2Vector:
-        w, b = divmod(j, 64)
-        bits = (self.words[:, w] >> np.uint64(b)) & _U64_1
-        return GF2Vector(self.rows, _pack(bits[None])[0])
+        j = _index(j, self.cols, "column", self._shape())
+        return GF2Vector(self.rows, _bits_value([x >> j for x in self.ints]))
 
     def columns(self) -> list[GF2Vector]:
-        return [GF2Vector(self.rows, words) for words in self.transpose().words]
+        return [GF2Vector(self.rows, v) for v in _transpose(self.ints, self.cols)]
 
     def is_zero(self) -> bool:
-        return not self.words.any()
+        return not any(self.ints)
 
     def to_rows(self) -> list[list[int]]:
         return _unpack(self.words, self.cols).tolist()
@@ -229,29 +244,20 @@ class GF2Matrix:
             raise SizeError(f"refusing to unpack a {self.rows}x{self.cols} matrix")
         return _unpack(self.words, self.cols).astype(bool)
 
-    @classmethod
-    def from_bool_array(cls, arr: np.ndarray) -> "GF2Matrix":
-        return cls(*np.shape(arr), _pack(arr))
-
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "GF2Matrix":
         """Copy of the half-open row and column range."""
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise ValidationError("submatrix range out of bounds")
-        if (r1 - r0) * self.cols > (1 << 28):
-            raise SizeError(f"refusing to unpack {r1 - r0} rows of {self.cols} columns")
-        return GF2Matrix.from_bool_array(_unpack(self.words[r0:r1], c1)[:, c0:])
+        mask = (1 << (c1 - c0)) - 1
+        return GF2Matrix(r1 - r0, c1 - c0, [(x >> c0) & mask for x in self.ints[r0:r1]])
 
     def transpose(self) -> "GF2Matrix":
-        return GF2Matrix.from_bool_array(self.to_bool_array().T)
+        return GF2Matrix(self.cols, self.rows, _transpose(self.ints, self.cols))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GF2Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and bool(np.array_equal(self.words, other.words))
-        )
+        return self.rows == other.rows and self.cols == other.cols and self.ints == other.ints
 
     def __repr__(self) -> str:
         return f"GF2Matrix({self.rows}x{self.cols})"
@@ -259,136 +265,86 @@ class GF2Matrix:
     # -- arithmetic ----------------------------------------------------
 
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
-        """Sparse product: each output row XORs the rows of other that self selects.
-
-        The selected (row, column) pairs come from the positions self was
-        built from, or from self's last product, or else are read off its
-        nonzero words in chunks of whole words that keep the temporaries
-        near CHUNK_WORDS.  When they fit one chunk they are kept for self's
-        next product.  A factor without set bits gives the zero matrix at
-        once.
-        """
+        """Each output row XORs the rows of other that self's row selects."""
         if self.cols != other.rows:
             raise ValidationError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        return self._times(other)
-
-    def _times(self, other: "GF2Matrix", scan_other: bool = True) -> "GF2Matrix":
-        """self @ other for matching shapes; scan_other=False skips looking
-        for set bits in other, for a caller that has found them already."""
-        out = GF2Matrix(self.rows, other.cols)
-        # a pair gathers one row of other and keeps four index words
-        budget = max(64, CHUNK_WORDS // (other.words.shape[1] + 4))
-        kept = self._support
-        if kept is None:
-            if self._positions is not None and self._positions[0].size <= budget:
-                rows, cols = self._positions
-                order = np.argsort(rows, kind="stable")
-                kept = self._keep_support(_by_row(rows[order], cols[order]))
-            elif not self.words.any():
-                kept = self._keep_support(_NO_PAIRS)
-        if (kept is not None and not kept[0].size) or (scan_other and not other.words.any()):
-            return out
-        chunks = [kept] if kept is not None and kept[0].size <= budget else self._chunks(budget)
-        for gather, starts, targets in chunks:
-            # a row cut between two chunks gets both parts XORed in
-            out.words[targets] ^= np.bitwise_xor.reduceat(other.words[gather], starts, axis=0)
-        return out
-
-    def _keep_support(self, pairs):
-        """Keep self's set bits as pairs for its next product; words go read-only."""
-        self._support = pairs
-        self._positions = None
-        self.words.flags.writeable = False
-        return pairs
-
-    def _chunks(self, budget: int):
-        """Yield self's set bits as (column, first pair of each row, row)
-        arrays, in chunks of whole words of at most `budget` pairs each (or
-        one word).  A matrix that fits one chunk keeps it."""
-        r, w = np.nonzero(self.words)
-        vals = self.words[r, w]
-        cuts = [0, r.size]
-        if r.size * 64 > budget:
-            pairs = np.cumsum(np.bitwise_count(vals), dtype=np.int64)
-            cuts = [0, *np.searchsorted(pairs, np.arange(budget, pairs[-1], budget), side="right"), r.size]
-        for lo, hi in zip(cuts, cuts[1:]):
-            bits = np.unpackbits(vals[lo:hi].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-            k, b = np.nonzero(bits)
-            chunk = _by_row(r[lo:hi][k], (w[lo:hi][k] << 6) + b)
-            if len(cuts) == 2:
-                self._keep_support(chunk)
-            yield chunk
+        _check_bytes(self.rows, other.cols)
+        return GF2Matrix(self.rows, other.cols, list(_product_rows(self.ints, other.ints)))
 
     def compose_is_zero(self, other: "GF2Matrix") -> bool:
-        """True iff self @ other is the zero matrix.
-
-        The product is taken in blocks of self's rows whose packed output
-        stays under CHUNK_WORDS words and the byte ceiling, so the check
-        answers whenever both factors exist.  A pair that fits one block
-        multiplies self itself, which keeps its support; otherwise other
-        is searched for set bits once, not once per block.
-        """
+        """True iff self @ other is the zero matrix, found row by row
+        without building the product; stops at the first nonzero row."""
         if self.cols != other.rows:
             raise ValidationError("shape mismatch in composition")
-        step = max(1, min(CHUNK_WORDS, MAX_MATRIX_BYTES >> 3) // max(1, _nwords(other.cols)))
-        if self.rows <= step:
-            return (self @ other).is_zero()
-        return not other.words.any() or all(
-            GF2Matrix(len(block), self.cols, block)._times(other, scan_other=False).is_zero()
-            for block in (self.words[lo : lo + step] for lo in range(0, self.rows, step))
-        )
+        return not any(_product_rows(self.ints, other.ints))
 
     # -- elimination ----------------------------------------------------
 
     def rank(self) -> int:
         """The number of rows that insertion by lowest set bit stores."""
-        return _stored(_ints(self.words))
+        return _stored(self.ints)
 
     def nullspace_basis(self) -> list[GF2Vector]:
         """Basis of the right kernel, one vector per free column, ascending:
         the kernel tags of `reduce_columns`."""
         kernel, _ = reduce_columns(self)
-        return [GF2Vector(self.cols, words) for words in _words(kernel, self.cols)]
+        return [GF2Vector(self.cols, v) for v in kernel]
 
 
-_NO_PAIRS = (np.empty(0, dtype=np.int64),) * 3
+def _positions(coords) -> tuple[list[int], list[int]]:
+    """The rows and columns of (row, col) positions as lists of ints."""
+    if isinstance(coords, np.ndarray):
+        if not coords.size:
+            return [], []
+        if coords.ndim != 2 or coords.shape[1] != 2:
+            raise ValidationError("coords must be pairs (row, col)")
+        if coords.dtype.kind not in "iu":
+            raise ValidationError(f"coords must be integers, got {coords.dtype}")
+        return coords[:, 0].tolist(), coords[:, 1].tolist()
+    pairs = list(coords)
+    if not pairs:
+        return [], []
+    try:
+        lengths = set(map(len, pairs))
+    except TypeError:
+        lengths = None
+    if lengths != {2}:
+        raise ValidationError("coords must be pairs (row, col)")
+    r, c = zip(*pairs)
+    return _integers(list(r), "coords"), _integers(list(c), "coords")
 
 
-def _by_row(rows: np.ndarray, cols: np.ndarray):
-    """Pairs sorted by row as (column, first pair of each row, row)."""
-    first = np.ones(rows.size, dtype=bool)
-    np.not_equal(rows[1:], rows[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return cols, starts, rows[starts]
+def _product_rows(a: list[int], b: list[int]):
+    """The rows of the product of row ints a and b, one at a time: for
+    each row of a, the XOR of the rows b[j] at its set bits j."""
+    for x in a:
+        acc = 0
+        while x:
+            low = x & -x
+            acc ^= b[low.bit_length() - 1]
+            x ^= low
+        yield acc
 
 
 def _from_level_triplets(shapes, level, rows, cols) -> list[GF2Matrix]:
     """One matrix per (rows, cols) shape, with a bit at (rows[t], cols[t])
-    of matrix level[t] for every t, filled by one scatter.
+    of matrix level[t] for every t.
 
-    The positions must lie inside their matrix and be grouped by level in
-    ascending order; repeated positions cancel mod 2.  The matrices' words
-    are consecutive views of one buffer, which `from_triplets` fills as a
-    matrix with one row per packed word, and each matrix keeps its own
-    positions for its first product.
+    The positions must lie inside their matrix; repeated positions cancel
+    mod 2.  The levels are stacked by row into one `from_triplets` matrix
+    as wide as the widest, and each takes its slice of the row ints.
     """
-    widths = np.array([_nwords(c) for _, c in shapes], dtype=np.int64)
-    base = np.zeros(len(shapes) + 1, dtype=np.int64)
-    np.cumsum([r for r, _ in shapes] * widths, out=base[1:])
-    word = base[level] + rows * widths[level] + (cols >> 6)
-    coords = np.empty((word.size, 2), dtype=np.int64)
-    coords[:, 0] = word
-    np.bitwise_and(cols, 63, out=coords[:, 1])
-    flat = GF2Matrix.from_triplets(int(base[-1]), 64, coords).words[:, 0]
-    cuts = np.searchsorted(level, np.arange(len(shapes) + 1)).tolist()
-    out = []
-    for k, (r, c) in enumerate(shapes):
-        m = GF2Matrix(r, c, flat[base[k] : base[k + 1]].reshape(r, widths[k]))
-        m._keep_positions(rows[cuts[k] : cuts[k + 1]], cols[cuts[k] : cuts[k + 1]])
-        out.append(m)
-    return out
+    starts = np.zeros(len(shapes) + 1, dtype=np.int64)
+    np.cumsum([r for r, _ in shapes], out=starts[1:])
+    coords = np.empty((rows.size, 2), dtype=np.int64)
+    np.add(starts[level], rows, out=coords[:, 0])
+    coords[:, 1] = cols
+    width = max((c for _, c in shapes), default=0)
+    stacked = GF2Matrix.from_triplets(int(starts[-1]), width, coords).ints
+    bounds = starts.tolist()
+    return [GF2Matrix(r, c, stacked[a:b]) for (r, c), a, b in zip(shapes, bounds, bounds[1:])]
 
 
 class QuotientSpace:
@@ -439,7 +395,7 @@ class QuotientSpace:
             raise MembershipError(f"boundary {i} is not in the span of the cycles")
         self.dim = len(reps)
         # Columns are the representatives, in quotient basis order.
-        self.representatives = GF2Matrix(n, self.dim, _words(_transpose(reps, n), self.dim))
+        self.representatives = GF2Matrix(n, self.dim, _transpose(reps, n))
         # The quotient basis rows come last in the table: they were inserted last.
         self._table = table
         self._apply: GF2Matrix | None = None  # built by the first coordinates call
@@ -470,20 +426,13 @@ class QuotientSpace:
         # positions must vanish.
         self._free = free = [i for i, c in enumerate(coeffs) if not c]
         on_rows = _transpose([r & ~mask for r in rows], n)  # per position, the rows that hit it
-        check = []
-        for f in free:
-            c, hits = 1 << f, on_rows[f]
-            while hits:
-                hit = hits & -hits
-                c ^= solve[hit.bit_length() - 1]
-                hits ^= hit
-            check.append(c)
-        self._apply = GF2Matrix(dim + len(free), n, _words(solve[:dim] + check, n))
+        check = [(1 << f) ^ c for f, c in zip(free, _product_rows([on_rows[f] for f in free], solve))]
+        self._apply = GF2Matrix(dim + len(free), n, solve[:dim] + check)
         self._table = None
 
     def representative(self, q: int) -> GF2Vector:
         """A cycle representative of the q-th quotient basis class."""
-        return self.representatives.column(q)
+        return self.representatives.column(_index(q, self.dim, "class", f"a quotient of dimension {self.dim}"))
 
     def coordinates(self, v):
         """Quotient coordinates of the class of v.
@@ -495,14 +444,15 @@ class QuotientSpace:
         """
         if self._apply is None:
             self._build_apply()
-        vs = v if isinstance(v, GF2Matrix) else GF2Matrix.from_bool_array(_unpack(v.words, v.n)[:, None])
-        out = self._apply @ vs
-        residual = _unpack(out.words[self.dim :], vs.cols)
-        if residual.any():
-            col = np.flatnonzero(residual.any(axis=0))[0]
-            bit = self._free[np.flatnonzero(residual[:, col])[0]]
-            raise MembershipError(f"vector has unreducible bit {bit}; not in the cycle span")
-        coords = GF2Matrix(self.dim, vs.cols, out.words[: self.dim])
+        vs = v if isinstance(v, GF2Matrix) else GF2Matrix(v.n, 1, _transpose([v.value], v.n))
+        out = (self._apply @ vs).ints
+        residual = out[self.dim :]
+        if any(residual):
+            hit = reduce(or_, residual)
+            col = (hit & -hit).bit_length() - 1  # the first vector with a residual
+            row = next(i for i, r in enumerate(residual) if (r >> col) & 1)
+            raise MembershipError(f"vector has unreducible bit {self._free[row]}; not in the cycle span")
+        coords = GF2Matrix(self.dim, vs.cols, out[: self.dim])
         return coords if vs is v else coords.column(0)
 
 
@@ -515,7 +465,7 @@ def _vector_ints(vectors: list, n: int, what: str) -> list[int]:
         if isinstance(v, GF2Vector):
             if v.n != n:
                 raise ValidationError(f"{what} {i} has length {v.n}, not {n}")
-            out.append(int.from_bytes(v.words.tobytes(), "little"))
+            out.append(v.value)
         elif isinstance(v, int) and not isinstance(v, bool):
             if v < 0:
                 raise ValidationError(f"{what} {i} is a negative int")
@@ -588,30 +538,26 @@ def reduce_columns(m: GF2Matrix) -> tuple[list[int], dict[int, int]]:
     that vanish, which is the kernel basis `nullspace_basis` gives (the tag
     of free column j is supported on j and earlier pivot columns, and that
     kernel vector is unique), and the stored columns, which are the table
-    a QuotientSpace builds from m's columns as boundaries.  The columns
-    are a bit transpose of m's rows as ints, which unpacks nothing and
-    suits the sparse differentials.
+    a QuotientSpace builds from m's columns as boundaries.
     """
     table: dict[int, int] = {}  # lowest set bit -> stored column
     tags: dict[int, int] = {}
     kernel = []
-    for j, v in enumerate(_transpose(list(_ints(m.words)), m.cols)):
+    for j, v in enumerate(_transpose(m.ints, m.cols)):
         row, t = _insert(table, v, tags, 1 << j)
         if not row:
             kernel.append(t)
     return kernel, table
 
 
-def _ints(words: np.ndarray):
-    """Each row of packed words as an int, bit j being column j, read one
-    row at a time, so that `rank` never copies the whole matrix."""
-    return (int.from_bytes(row, "little") for row in words)
+def _ints(words: np.ndarray) -> list[int]:
+    """Each row of packed words as an int, bit j being column j."""
+    return [int.from_bytes(row, "little") for row in words]
 
 
 def _words(ints, cols: int) -> np.ndarray:
-    """Python integers (bit j is column j) packed as rows of uint64 words."""
+    """Python integers (bit j is column j) packed as read-only rows of uint64 words."""
     ints = list(ints)
     nbytes = _nwords(cols) * 8
-    blob = bytearray(b"".join(map(int.to_bytes, ints, repeat(nbytes), repeat("little"))))
+    blob = b"".join(map(int.to_bytes, ints, repeat(nbytes), repeat("little")))
     return np.frombuffer(blob, dtype=np.uint64).reshape(len(ints), _nwords(cols))
-

@@ -182,7 +182,7 @@ def test_nullspace_properties():
             assert stacked.rank() == len(basis)
 
 
-def test_matmul_against_naive(monkeypatch):
+def test_matmul_against_naive():
     rng = random.Random(4)
     for _ in range(20):
         a = random_matrix(rng, rng.randint(1, 30), rng.randint(1, 30))
@@ -201,51 +201,6 @@ def test_matmul_against_naive(monkeypatch):
         assert (prod.rows, prod.cols) == (rows, cols)
         assert prod.to_rows() == (naive_mul(a.to_rows(), b.to_rows()) if inner else [[0] * cols] * rows)
         assert_padding_clear(prod.words, cols)
-        # the same product in chunks of a few words, rows cut between chunks
-        with monkeypatch.context() as patch:
-            patch.setattr(gf2, "CHUNK_WORDS", 1)
-            assert a @ b == prod
-
-
-def test_matmul_keeps_left_support(monkeypatch):
-    # one left factor against right factors of several widths: the first
-    # product keeps its support, later ones reuse it or, when it does not
-    # fit their chunk, chunk the words again
-    rng = random.Random(14)
-    lefts = [random_matrix(rng, 65, 130, 0.3), random_matrix(rng, 9, 70, 0.05)]
-    lefts += [GF2Matrix.zeros(7, 65), GF2Matrix.zeros(0, 5), GF2Matrix.zeros(4, 0)]
-    for a in lefts:
-        rights = [random_matrix(rng, a.cols, c) for c in (1, 64, 130, 0)]
-        rights += [GF2Matrix.zeros(a.cols, 65)]
-        for chunk_words in (gf2.CHUNK_WORDS, 1, gf2.CHUNK_WORDS):
-            with monkeypatch.context() as patch:
-                patch.setattr(gf2, "CHUNK_WORDS", chunk_words)
-                for b in rights:
-                    prod = a @ b
-                    assert (prod.rows, prod.cols) == (a.rows, b.cols)
-                    expected = naive_mul(a.to_rows(), b.to_rows()) if a.cols else [[0] * b.cols] * a.rows
-                    assert prod.to_rows() == expected
-                    assert_padding_clear(prod.words, b.cols)
-        assert a._support is not None
-
-
-def test_words_read_only_after_product(monkeypatch):
-    rng = random.Random(15)
-    a = random_matrix(rng, 20, 70)
-    b = random_matrix(rng, 70, 10)
-    a @ b
-    assert not a.words.flags.writeable
-    with pytest.raises(ValueError):
-        a.words[0, 0] = 1
-    with pytest.raises(ValueError):
-        a.words ^= a.words
-    assert b.words.flags.writeable and (a @ b).words.flags.writeable
-    # a left factor too large for one chunk keeps nothing and stays writable
-    with monkeypatch.context() as patch:
-        patch.setattr(gf2, "CHUNK_WORDS", 1)
-        big = random_matrix(rng, 20, 70)
-        assert (big @ b).to_rows() == naive_mul(big.to_rows(), b.to_rows())
-        assert big.words.flags.writeable
 
 
 def test_reduce_columns_against_nullspace_and_boundary_table():
@@ -296,39 +251,6 @@ def test_compose_is_zero():
             assert a.compose_is_zero(b) == expected
 
 
-def test_compose_is_zero_in_row_blocks(monkeypatch):
-    # with two words per block, a 65-row left factor against a one-word
-    # right factor runs in 33 blocks of two rows (the last of one row)
-    rng = random.Random(19)
-    products = []
-    times = GF2Matrix._times
-
-    def counting(self, other, *args, **kwargs):
-        products.append(self.rows)
-        return times(self, other, *args, **kwargs)
-
-    monkeypatch.setattr(gf2, "CHUNK_WORDS", 2)
-    monkeypatch.setattr(GF2Matrix, "_times", counting)
-    for density in (0.05, 0.5):
-        a = random_matrix(rng, 65, 130, density)
-        b = kernel_columns(rng, a, 64)
-        products.clear()
-        assert a.compose_is_zero(b)
-        assert products == [2] * 32 + [1]
-        c = random_matrix(rng, 130, 64)
-        assert a.compose_is_zero(c) == (not any(map(any, naive_mul(a.to_rows(), c.to_rows()))))
-    # a right factor without set bits answers before any block product
-    products.clear()
-    assert a.compose_is_zero(GF2Matrix.zeros(130, 64))
-    assert products == []
-    # only the last row of the product is nonzero
-    last = GF2Matrix.from_triplets(65, 130, [(64, 0), (3, 1)])
-    c = GF2Matrix.from_triplets(130, 64, [(0, 5)])
-    products.clear()
-    assert not last.compose_is_zero(c)
-    assert products == [2] * 32 + [1]
-
-
 def test_compose_is_zero_past_the_byte_ceiling(monkeypatch):
     # both factors fit the ceiling, their whole product would not; the
     # check still answers
@@ -342,21 +264,15 @@ def test_compose_is_zero_past_the_byte_ceiling(monkeypatch):
     assert GF2Matrix.zeros(2000, 1).compose_is_zero(ones)
 
 
-def test_from_triplets_duplicates_cancel(monkeypatch):
+def test_from_triplets_duplicates_cancel():
     m = GF2Matrix.from_triplets(2, 2, [(0, 1), (0, 1), (1, 0)])
     assert m.to_rows() == [[0, 0], [1, 0]]
-    # kept positions cancel in products too, whether the first product
-    # reads them or, past its chunk, the words
     assert m @ GF2Matrix.from_rows([[1, 1], [0, 1]]) == GF2Matrix.from_rows([[0, 0], [1, 1]])
     rng = random.Random(16)
-    for chunk_words in (1, gf2.CHUNK_WORDS):
-        coords = [(rng.randrange(65), rng.randrange(70)) for _ in range(300)]
-        big = GF2Matrix.from_triplets(65, 70, coords)
-        c = random_matrix(rng, 70, 9)
-        with monkeypatch.context() as patch:
-            patch.setattr(gf2, "CHUNK_WORDS", chunk_words)
-            assert (big @ c).to_rows() == naive_mul(big.to_rows(), c.to_rows())
-        assert not big.words.flags.writeable
+    coords = [(rng.randrange(65), rng.randrange(70)) for _ in range(300)]
+    big = GF2Matrix.from_triplets(65, 70, coords)
+    c = random_matrix(rng, 70, 9)
+    assert (big @ c).to_rows() == naive_mul(big.to_rows(), c.to_rows())
     with pytest.raises(ValidationError):
         GF2Matrix.from_triplets(2, 2, [(2, 0)])
 
@@ -476,3 +392,88 @@ def test_quotient_space_consistency():
                 assert q.coordinates(GF2Vector.from_bits(v)).to_bits() == coordinates(v)
         batch = q.coordinates(GF2Matrix.from_rows(inside).transpose())
         assert batch.transpose().to_rows() == [coordinates(v) for v in inside]
+
+
+def test_matrix_get_outside_the_shape_raises():
+    m = GF2Matrix.from_rows([[1, 0, 1]])
+    with pytest.raises(ValidationError, match=r"^column 5 is out of range for a 1x3 matrix$"):
+        m.get(0, 5)
+    with pytest.raises(ValidationError, match=r"^row 1 is out of range for a 1x3 matrix$"):
+        m.get(1, 0)
+    # a negative index is not read from the end of the row
+    wide = GF2Matrix.from_rows([[1] * 64])
+    with pytest.raises(ValidationError, match=r"^column -1 is out of range for a 1x64 matrix$"):
+        wide.get(0, -1)
+    assert wide.get(0, 63) == 1
+
+
+def test_matrix_row_outside_the_shape_raises():
+    m = GF2Matrix.from_rows([[1, 0, 1]])
+    for i in (1, 3, -1):
+        with pytest.raises(ValidationError, match=rf"^row {i} is out of range for a 1x3 matrix$"):
+            m.row(i)
+    assert m.row(0).to_bits() == [1, 0, 1]
+
+
+def test_matrix_column_outside_the_shape_raises():
+    m = GF2Matrix.from_rows([[1, 0, 1]])
+    for j in (3, 10, -1):
+        with pytest.raises(ValidationError, match=rf"^column {j} is out of range for a 1x3 matrix$"):
+            m.column(j)
+    assert m.column(2).to_bits() == [1]
+
+
+def test_quotient_representative_outside_the_dimension_raises():
+    q = QuotientSpace([1, 2], [], 3)
+    assert q.dim == 2
+    for k in (2, 5, -1):
+        with pytest.raises(ValidationError, match=rf"^class {k} is out of range for a quotient of dimension 2$"):
+            q.representative(k)
+    assert q.representative(1).to_bits() == [0, 1, 0]
+
+
+def test_vector_get_outside_the_length_raises():
+    v = GF2Vector.from_bits([1, 0, 1])
+    for i in (3, 40, -1):
+        with pytest.raises(ValidationError, match=rf"^index {i} is out of range for a vector of length 3$"):
+            v.get(i)
+    assert [v.get(i) for i in range(3)] == [1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "coords, kind",
+    [
+        pytest.param([(0.9, 1.5)], "float", id="floats"),
+        pytest.param([(True, 1)], "bool", id="bool-row"),
+        pytest.param([(0, 1), (1, False)], "bool", id="bool-column"),
+        pytest.param(np.array([[0.0, 1.0]]), "float64", id="float-array"),
+        pytest.param(np.array([[True, False]]), "bool", id="bool-array"),
+        pytest.param(np.array([[0, 1]], dtype=object), "object", id="object-array"),
+    ],
+)
+def test_from_triplets_refuses_non_integers(coords, kind):
+    with pytest.raises(ValidationError, match=rf"^coords must be integers, got {kind}$"):
+        GF2Matrix.from_triplets(2, 2, coords)
+
+
+def test_from_triplets_reads_integer_arrays_by_dtype(monkeypatch):
+    expected = GF2Matrix.from_triplets(3, 70, [(0, 69), (2, 1), (2, 1), (1, 0)])
+    assert GF2Matrix.from_triplets(3, 70, [(np.int64(0), 69), (2, np.uint8(1)), (2, 1), (1, 0)]) == expected
+
+    def scan(*args):
+        raise AssertionError("an integer array was scanned entry by entry")
+
+    monkeypatch.setattr(gf2, "_integers", scan)
+    for dtype in (np.int64, np.int32, np.uint64):
+        coords = np.array([(0, 69), (2, 1), (2, 1), (1, 0)], dtype=dtype)
+        assert GF2Matrix.from_triplets(3, 70, coords) == expected
+
+
+def test_from_rows_and_from_bits_refuse_non_integers():
+    for rows, kind in (([[1.5, 0.2]], "float"), ([[1, True]], "bool"), ([[np.float64(1)]], "float64")):
+        with pytest.raises(ValidationError, match=rf"^matrix entries must be integers, got {kind}$"):
+            GF2Matrix.from_rows(rows)
+    with pytest.raises(ValidationError, match=r"^vector entries must be integers, got float$"):
+        GF2Vector.from_bits([1, 0.0])
+    # integer entries keep their mod-2 reading, numpy integers included
+    assert GF2Matrix.from_rows([[3, -1, 2], [np.int64(5), 0, 1 << 70]]).to_rows() == [[1, 1, 0], [1, 0, 0]]

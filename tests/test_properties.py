@@ -1,14 +1,21 @@
-"""Property tests for the three input formats and the command line.
+"""Property tests for the three input formats, the command line and the
+GF(2) matrix invariants.
 
 Random JSON, and random near-miss versions of each format, must either
 parse or raise ValidationError; the command line must answer every such
 file with exit 0, 1 or 2 and at most one line on stderr, never a
-traceback.  Examples are derandomized so the suite is repeatable.
+traceback.  Every way of building a GF2Matrix, and every product,
+transpose and submatrix, must keep each row inside its columns and agree
+with a numpy reference.  Examples are derandomized so the suite is
+repeatable.
 """
 
 import contextlib
 import io
 import json
+import random
+
+import numpy as np
 
 import pytest
 
@@ -16,9 +23,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from vandercomplex import ValidationError, format_diagram, torus_two_n  # noqa: E402
+from vandercomplex import ValidationError, format_diagram, gf2, torus_two_n  # noqa: E402
 from vandercomplex.cli import main  # noqa: E402
 from vandercomplex.gendet import parse_matrix  # noqa: E402
+from vandercomplex.gf2 import GF2Matrix  # noqa: E402
 from vandercomplex.linkdiag import parse_diagram  # noqa: E402
 from vandercomplex.zndiag import parse_morphism  # noqa: E402
 
@@ -116,5 +124,97 @@ def test_cli_answers_every_input_in_one_line(kind, tmp_path_factory):
             assert lines == [] and out.getvalue()
         if code == 1:
             assert lines[0].startswith("error:") and out.getvalue() == ""
+
+    check()
+
+
+# Widths at and around the 64-bit word boundary; width 0 gives matrices
+# with zero rows or zero columns.
+WIDTHS = (0, 1, 63, 64, 65, 130)
+MATRIX_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def _random_bits(rng, rows, cols, density) -> np.ndarray:
+    return np.random.default_rng(rng.getrandbits(64)).random((rows, cols)) < density
+
+
+def _pairs(rng, bits) -> list[tuple[int, int]]:
+    """The set bits of `bits` as (row, col) pairs, shuffled, plus a few
+    positions given twice, which cancel."""
+    pairs = [(int(i), int(j)) for i, j in np.argwhere(bits)]
+    rows, cols = bits.shape
+    if rows and cols:
+        pairs += [(rng.randrange(rows), rng.randrange(cols)) for _ in range(4)] * 2
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _level_triplets(rng, bits):
+    """`bits` and a second random level, built by one stacked assembly call."""
+    other = _random_bits(rng, rng.choice(WIDTHS), rng.choice(WIDTHS), 0.3)
+    level, rows, cols = [], [], []
+    for k, b in enumerate((bits, other)):
+        for i, j in _pairs(rng, b):
+            level.append(k)
+            rows.append(i)
+            cols.append(j)
+    arrays = (np.array(v, dtype=np.int64) for v in (level, rows, cols))
+    return list(zip(gf2._from_level_triplets([bits.shape, other.shape], *arrays), (bits, other)))
+
+
+# Each builds (matrix, numpy reference) pairs from a random bool array.
+CONSTRUCTORS = {
+    "zeros": lambda rng, bits: [(GF2Matrix.zeros(*bits.shape), np.zeros_like(bits))],
+    "identity": lambda rng, bits: [(GF2Matrix.identity(len(bits)), np.eye(len(bits), dtype=bool))],
+    "from_rows": lambda rng, bits: [
+        # entries other than 0 and 1 read mod 2; no rows give a 0x0 matrix
+        (GF2Matrix.from_rows(np.where(bits, 3, -2).tolist()), bits if len(bits) else bits[:, :0])
+    ],
+    "from_triplets": lambda rng, bits: [(GF2Matrix.from_triplets(*bits.shape, _pairs(rng, bits)), bits)],
+    "from_triplets_array": lambda rng, bits: [
+        (GF2Matrix.from_triplets(*bits.shape, np.array(_pairs(rng, bits), dtype=np.int64).reshape(-1, 2)), bits)
+    ],
+    "from_bool_array": lambda rng, bits: [(GF2Matrix.from_bool_array(bits), bits)],
+    "level_triplets": _level_triplets,
+}
+
+
+def _check_matrix(rng, m, ref):
+    """Rows inside the columns, bits and words as the reference's, and
+    compose_is_zero as a naive product says."""
+    assert (m.rows, m.cols) == ref.shape and len(m.ints) == m.rows
+    assert all(type(x) is int and 0 <= x < 1 << m.cols for x in m.ints)
+    assert m.to_rows() == ref.astype(int).tolist()
+    assert np.array_equal(m.words, gf2._pack(m.to_bool_array()))
+    basis = m.nullspace_basis()
+    kernel = np.array([v.to_bits() for v in basis], dtype=np.int64).reshape(len(basis), m.cols)
+    sums = np.array([rng.random() < 0.5 for _ in range(3 * len(basis))], dtype=np.int64).reshape(len(basis), 3)
+    in_kernel = (kernel.T @ sums) % 2 == 1  # three columns in the kernel
+    width = rng.choice(WIDTHS)
+    for right in (_random_bits(rng, m.cols, width, 0.05), np.zeros((m.cols, width), dtype=bool), in_kernel):
+        naive = (ref.astype(np.int64) @ right.astype(np.int64)) % 2
+        assert m.compose_is_zero(GF2Matrix.from_bool_array(right)) == (not naive.any())
+
+
+@pytest.mark.parametrize("constructor", sorted(CONSTRUCTORS))
+def test_gf2_matrix_invariants(constructor):
+    @MATRIX_PROPERTY
+    @given(
+        st.sampled_from(WIDTHS),
+        st.sampled_from(WIDTHS),
+        st.sampled_from((0.0, 0.03, 0.5, 1.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    def check(rows, cols, density, seed):
+        rng = random.Random(seed)
+        for m, ref in CONSTRUCTORS[constructor](rng, _random_bits(rng, rows, cols, density)):
+            _check_matrix(rng, m, ref)
+            right = _random_bits(rng, m.cols, rng.choice(WIDTHS), rng.choice((0.05, 0.5)))
+            naive = (ref.astype(np.int64) @ right.astype(np.int64)) % 2 == 1
+            _check_matrix(rng, m @ GF2Matrix.from_bool_array(right), naive)
+            _check_matrix(rng, m.transpose(), ref.T)
+            r0, r1 = sorted(rng.randint(0, m.rows) for _ in range(2))
+            c0, c1 = sorted(rng.randint(0, m.cols) for _ in range(2))
+            _check_matrix(rng, m.submatrix(r0, r1, c0, c1), ref[r0:r1, c0:c1])
 
     check()

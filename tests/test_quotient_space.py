@@ -12,6 +12,11 @@ from vandercomplex.gf2 import GF2Matrix, GF2Vector, QuotientSpace
 from vandercomplex.zndiag import chain_map, cohomology_quotients, identity_morphism, induced_map_from
 
 
+def _matrix(rows, cols, words):
+    """A GF2Matrix holding finished packed words."""
+    return GF2Matrix(rows, cols, gf2._ints(words))
+
+
 class NumpyQuotient:
     """The numpy construction QuotientSpace used before it built its
     matrices from Python integers: three bit transposes, a product and a
@@ -35,7 +40,7 @@ class NumpyQuotient:
                 gf2._insert(table, v)
         reps = [r for r, _ in (gf2._insert(table, v) for v in z) if r]
         self.dim = len(reps)
-        self.representatives = GF2Matrix(self.dim, n, gf2._words(reps, n)).transpose()
+        self.representatives = _matrix(self.dim, n, gf2._words(reps, n)).transpose()
         rows = reps + list(table.values())[: len(table) - len(reps)]
         index = {r & -r: j for j, r in enumerate(rows)}
         mask = sum(index)
@@ -49,14 +54,14 @@ class NumpyQuotient:
             coeffs[low] = c
         m = len(rows)
         pivots = [low.bit_length() - 1 for low in coeffs]
-        solve_t = GF2Matrix(n, m)
-        solve_t.words[pivots] = gf2._words(coeffs.values(), m)
-        solve = solve_t.transpose()
+        solve_t = np.zeros((n, gf2._nwords(m)), dtype=np.uint64)
+        solve_t[pivots] = gf2._words(coeffs.values(), m)
+        solve = _matrix(n, m, solve_t).transpose()
         self._free = free = np.setdiff1d(np.arange(n), pivots)
-        rows_t = GF2Matrix(m, n, gf2._words(rows, n)).transpose()
-        check = GF2Matrix(free.size, m, rows_t.words[free]) @ solve
-        check.words[np.arange(free.size), free >> 6] ^= np.uint64(1) << (free & 63).astype(np.uint64)
-        self._apply = GF2Matrix(self.dim + free.size, n, np.vstack([solve.words[: self.dim], check.words]))
+        rows_t = _matrix(m, n, gf2._words(rows, n)).transpose()
+        check = (_matrix(free.size, m, rows_t.words[free]) @ solve).words.copy()
+        check[np.arange(free.size), free >> 6] ^= np.uint64(1) << (free & 63).astype(np.uint64)
+        self._apply = _matrix(self.dim + free.size, n, np.vstack([solve.words[: self.dim], check]))
 
     coordinates = QuotientSpace.coordinates
 

@@ -60,6 +60,15 @@ def test_summands_match_dense_on_random_matrices():
         seen += 1
 
 
+def test_summands_match_dense_past_the_cap():
+    # 147,840 basis elements, far past DENSE_CAP: the dense d² check and
+    # ranks of the whole-level differentials against the summand route
+    d, x = torus_two_n(4), (1, 2, 3, 4)
+    dense = homology(build_complex(d, x))
+    assert sum(dense.cochain_dims) == 147_840
+    assert dense.homology_dims == verify_euler(d, x).homology_dims
+
+
 @pytest.mark.parametrize(
     "n, x, budget",
     [(5, (2, 2, 2, 2, 2), 10**7), (6, (1, 2, 3, 4, 5, 6), 10**15)],
