@@ -6,11 +6,17 @@ exactly one via a transposition.  Covers are generated directly from the
 one-line interchange criterion: swapping entries p[i] < p[j] with i < j is
 a cover exactly when no entry strictly between the two values sits in the
 positions between them.
+
+`build_bruhat` builds the poset of each n once per process and hands the
+same `BruhatPoset` to every later caller, so the poset and everything
+cached on it are read-only: levels and edges are tuples, and `up_covers`
+is a read-only mapping.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
+from types import MappingProxyType
 
 from .errors import PreconditionError, SizeError, ValidationError
 
@@ -72,12 +78,13 @@ class BruhatPoset:
         return len(self.levels) - 1
 
     @cached_property
-    def up_covers(self) -> dict[Perm, tuple[Perm, ...]]:
-        """The covers of each permutation, read from cover_edges; do not mutate."""
+    def up_covers(self) -> MappingProxyType:
+        """The covers of each permutation, read from cover_edges, as a
+        read-only mapping: the poset is shared by every caller."""
         up: dict[Perm, list[Perm]] = {p: [] for level in self.levels for p in level}
         for p, q in self.cover_edges:
             up[p].append(q)
-        return {p: tuple(qs) for p, qs in up.items()}
+        return MappingProxyType({p: tuple(qs) for p, qs in up.items()})
 
     def edges_from_level(self, k: int) -> list[tuple[Perm, Perm]]:
         """Cover edges whose source has rank k."""
@@ -85,16 +92,30 @@ class BruhatPoset:
         return [(p, q) for p in self.levels[k] for q in up[p]]
 
 
+_POSETS: dict[int, BruhatPoset] = {}
+
+
 def build_bruhat(n: int, cap: int = DEFAULT_N_CAP) -> BruhatPoset:
-    """Generate S_n with rank levels and all cover edges.
+    """S_n with rank levels and all cover edges, built on first use and
+    shared afterwards.
 
     n is capped (default 6) because the poset has n! elements and the
-    downstream complexes grow much faster still.
+    downstream complexes grow much faster still.  The cap is checked on
+    every call, so a poset built under a larger cap is still refused under
+    the default one.
     """
     if n < 1:
         raise ValidationError(f"group size must be positive, got {n}")
     if n > cap:
         raise SizeError(f"n={n} exceeds the poset cap {cap}; pass a larger cap explicitly")
+    poset = _POSETS.get(n)
+    if poset is None:
+        poset = _POSETS[n] = _generate(n)
+    return poset
+
+
+def _generate(n: int) -> BruhatPoset:
+    """S_n with its rank levels and cover edges, generated from scratch."""
     max_rank = n * (n - 1) // 2
     buckets: list[list[Perm]] = [[] for _ in range(max_rank + 1)]
     for q in permutations(range(1, n + 1)):

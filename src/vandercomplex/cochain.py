@@ -31,11 +31,11 @@ on the colors (see `summands`); verify_euler takes its cohomology from
 them, and homology on a built complex is the dense check on that route.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from math import prod
 from time import perf_counter
-
-import numpy as np
 
 from .bruhat import DEFAULT_N_CAP, Perm, build_bruhat, inversions, validate_perm
 from .errors import ConsistencyError, PreconditionError, SizeError, ValidationError, strict_int
@@ -80,6 +80,8 @@ def _block_places(levels, offsets: list, digits: list) -> BlockPlaces:
     """BlockPlaces of the permutations of `levels`; offsets and digits list
     each one's first index and (radix, digit count) per position, in level
     order."""
+    import numpy as np
+
     radix = np.array([r for r, _ in digits], dtype=np.int64)
     count = np.array([c for _, c in digits], dtype=np.int64)
     radix[count == 0] = 1
@@ -192,6 +194,8 @@ def _block_matrices(shapes, level, r0, c0, k, mi, mo) -> list[GF2Matrix]:
     then all blocks expand at once, factor by factor, and one
     `from_triplets` call builds every matrix.
     """
+    import numpy as np
+
     for rows, cols in shapes:
         _check_bytes(rows, cols)
     count = k.prod(axis=1)
@@ -229,6 +233,8 @@ def _assemble(
     size are checked before any coordinate is built.  fields go to the
     CochainComplex as they are.
     """
+    import numpy as np
+
     poset = build_bruhat(n, cap=n_cap)
     blocks = [p for level in poset.levels for p in level]
     offsets = []

@@ -10,7 +10,9 @@ would be most of the work.  A product XORs, for each row of the left
 factor, the rows of the right factor that its set bits select, one set bit
 at a time; `compose_is_zero` does the same row by row and stops at the
 first nonzero row, never building the product.  `words` packs the rows
-into 64-bit words when a caller wants them as an array.
+into 64-bit words when a caller wants them as an array; numpy is imported
+only by the functions that pack or unpack words or take arrays, so
+elimination on integers never loads it.
 
 There is one elimination rule: a vector is reduced by the stored row at
 its lowest set bit until that bit is free, and then stored there
@@ -28,15 +30,17 @@ Indices outside a matrix, vector or quotient raise ValidationError, and
 entries must be integers: floats and bools are refused, not rounded.
 """
 
+from __future__ import annotations
+
+import sys
 from functools import reduce
 from itertools import repeat
+from numbers import Integral
 from operator import or_
-
-import numpy as np
 
 from .errors import MembershipError, SizeError, ValidationError
 
-if not np.little_endian:  # pragma: no cover
+if sys.byteorder != "little":  # pragma: no cover
     raise ImportError("bit packing relies on little-endian word layout")
 
 # Hard ceiling on the packed words of a matrix built dense (zeros, the
@@ -61,13 +65,15 @@ def _check_bytes(rows: int, cols: int) -> None:
 
 def _index(i, size: int, what: str, of: str) -> int:
     """i as an int below size, or a ValidationError naming it and `of`."""
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < size:
+    if isinstance(i, bool) or not isinstance(i, Integral) or not 0 <= i < size:
         raise ValidationError(f"{what} {i!r} is out of range for {of}")
     return int(i)
 
 
 def _pack(bits) -> np.ndarray:
     """Pack a (rows, cols) array of nonzero-means-set into (rows, words) uint64."""
+    import numpy as np
+
     rows, cols = np.shape(bits)
     out = np.zeros((rows, _nwords(cols) * 8), dtype=np.uint8)
     out[:, : (cols + 7) >> 3] = np.packbits(np.asarray(bits, dtype=bool), axis=1, bitorder="little")
@@ -76,6 +82,8 @@ def _pack(bits) -> np.ndarray:
 
 def _unpack(words: np.ndarray, cols: int) -> np.ndarray:
     """The first `cols` bits of each row of packed words, as 0/1 uint8."""
+    import numpy as np
+
     bits = np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=-1, bitorder="little")
     return bits[..., :cols]
 
@@ -86,7 +94,7 @@ def _integers(values: list, what: str) -> list[int]:
     kinds = set(map(type, values))
     if kinds <= {int}:
         return values
-    bad = next((t for t in kinds if issubclass(t, bool) or not issubclass(t, (int, np.integer))), None)
+    bad = next((t for t in kinds if issubclass(t, bool) or not issubclass(t, Integral)), None)
     if bad is not None:
         raise ValidationError(f"{what} must be integers, got {bad.__name__}")
     return list(map(int, values))
@@ -132,6 +140,8 @@ class GF2Vector:
 
     def support(self) -> list[int]:
         """Indices of the set bits, ascending."""
+        import numpy as np
+
         return np.flatnonzero(_unpack(self.words, self.n)).tolist()
 
     def to_bits(self) -> list[int]:
@@ -202,6 +212,8 @@ class GF2Matrix:
 
     @classmethod
     def from_bool_array(cls, arr: np.ndarray) -> "GF2Matrix":
+        import numpy as np
+
         return cls(*np.shape(arr), _ints(_pack(arr)))
 
     # -- element access ------------------------------------------------
@@ -295,7 +307,8 @@ class GF2Matrix:
 
 def _positions(coords) -> tuple[list[int], list[int]]:
     """The rows and columns of (row, col) positions as lists of ints."""
-    if isinstance(coords, np.ndarray):
+    np = sys.modules.get("numpy")  # an array can only come from a loaded numpy
+    if np is not None and isinstance(coords, np.ndarray):
         if not coords.size:
             return [], []
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -336,6 +349,8 @@ def _from_level_triplets(shapes, level, rows, cols) -> list[GF2Matrix]:
     mod 2.  The levels are stacked by row into one `from_triplets` matrix
     as wide as the widest, and each takes its slice of the row ints.
     """
+    import numpy as np
+
     starts = np.zeros(len(shapes) + 1, dtype=np.int64)
     np.cumsum([r for r, _ in shapes], out=starts[1:])
     coords = np.empty((rows.size, 2), dtype=np.int64)
@@ -557,6 +572,8 @@ def _ints(words: np.ndarray) -> list[int]:
 
 def _words(ints, cols: int) -> np.ndarray:
     """Python integers (bit j is column j) packed as read-only rows of uint64 words."""
+    import numpy as np
+
     ints = list(ints)
     nbytes = _nwords(cols) * 8
     blob = b"".join(map(int.to_bytes, ints, repeat(nbytes), repeat("little")))

@@ -22,8 +22,6 @@ makes the induced maps compose on the nose.
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bruhat import DEFAULT_N_CAP
 from .cochain import (
     DEFAULT_DIM_BUDGET,
@@ -205,6 +203,8 @@ def chain_map(
     An endomorphism without a prebuilt target maps the source complex to
     itself.
     """
+    import numpy as np
+
     if m.n != d.n:
         raise PreconditionError(
             f"morphism is between vectors of length {m.n}, diagram has {d.n} crossings"

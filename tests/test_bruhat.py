@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, permutations
 from math import factorial
+from types import MappingProxyType
 
 import pytest
 
@@ -115,6 +116,25 @@ def test_build_bruhat_cap():
     assert build_bruhat(7, cap=7).n == 7
     with pytest.raises(ValidationError):
         build_bruhat(0)
+
+
+def test_build_bruhat_builds_each_n_once():
+    assert build_bruhat(5) is build_bruhat(5)
+    assert build_bruhat(4, cap=9) is build_bruhat(4)
+
+
+def test_cached_poset_keeps_the_cap():
+    build_bruhat(7, cap=7)
+    with pytest.raises(SizeError, match="cap 6"):
+        build_bruhat(7)
+
+
+def test_shared_up_covers_are_read_only():
+    poset = build_bruhat(3)
+    assert isinstance(poset.up_covers, MappingProxyType)
+    with pytest.raises(TypeError):
+        poset.up_covers[(1, 2, 3)] = ()
+    assert build_bruhat(3).up_covers[(1, 2, 3)] == ((1, 3, 2), (2, 1, 3))
 
 
 def test_edges_from_level_match_covers():

@@ -1,10 +1,11 @@
 import random
+from itertools import product
+from math import prod
 
 import pytest
 
 from vandercomplex import (
     ConsistencyError,
-    SizeError,
     build_complex,
     build_matrix_complex,
     cochain_dims,
@@ -18,6 +19,7 @@ from vandercomplex import (
     verify_euler,
 )
 from vandercomplex.gendet import matrix_dims, random_matrix
+from vandercomplex import summands
 from vandercomplex.summands import summand_table
 
 DENSE_CAP = 4000  # total basis elements the dense oracle is asked to eliminate
@@ -86,9 +88,10 @@ def test_corrupted_summand_entry_is_caught(monkeypatch):
     d, x = torus_two_n(3), (2, 2, 2)
     verify_euler(d, x)
     table = summand_table(3)
-    corrupted = table.dims.copy()
-    corrupted[0, 1] += 1  # row 0, no position held, occurs in every complex
-    monkeypatch.setattr(table, "dims", corrupted)
+    dims, hom = table.rows[(0, 0, 0)]  # no position held, occurs in every complex
+    corrupted = list(dims)
+    corrupted[1] += 1
+    monkeypatch.setitem(table.rows, (0, 0, 0), (tuple(corrupted), hom))
     with pytest.raises(ConsistencyError, match="do not reproduce"):
         verify_euler(d, x)
 
@@ -97,13 +100,44 @@ def test_corrupted_summand_homology_is_caught(monkeypatch):
     m = random_matrix(3, 3, random.Random(7))
     matrix_report(m)
     table = summand_table(3)
-    corrupted = table.hom.copy()
-    corrupted[0, 0] += 1
-    monkeypatch.setattr(table, "hom", corrupted)
+    dims, hom = table.rows[(0, 0, 0)]
+    corrupted = list(hom)
+    corrupted[0] += 1
+    monkeypatch.setitem(table.rows, (0, 0, 0), (dims, tuple(corrupted)))
     with pytest.raises(ConsistencyError, match="does not fit"):
         matrix_report(m)
 
 
-def test_sums_past_64_bits_are_refused():
-    with pytest.raises(SizeError, match="64-bit"):
-        verify_euler(torus_two_n(2), (2**40, 3), budget=2**200)
+def test_sums_past_64_bits_are_exact():
+    x = (2**40, 3)
+    rep = verify_euler(torus_two_n(2), x, budget=2**200)
+    assert sum(rep.cochain_dims) >= 1 << 63
+    chi = sum(h if k % 2 == 0 else -h for k, h in enumerate(rep.homology_dims))
+    assert chi == det_exact(vandermonde_matrix(x, (1, 2))) == product_formula(x)
+    assert rep.agree
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("low", [0, 1])
+def test_pruned_walk_matches_every_constraint_set(monkeypatch, n, low):
+    # Multiplicities from every code in {0..n}^n whose held values are
+    # distinct; with low = 0 some factors are zero and their sets are cut.
+    rng = random.Random(100 * n + low)
+    factors = [[rng.randint(low, 3) for _ in range(n + 1)] for _ in range(n)]
+    monkeypatch.setattr(summands, "_TABLES", {})
+    table = summand_table(n)
+    occurring = {}
+    for code in product(range(n + 1), repeat=n):
+        held = [v for v in code if v]
+        weight = prod(f[v] for f, v in zip(factors, code))
+        if len(set(held)) == len(held) and weight:
+            occurring[code] = weight
+    expect_dims = [0] * (table.poset.max_rank + 1)
+    expect_hom = list(expect_dims)
+    for code, weight in occurring.items():
+        dims, hom = table.fill(code)
+        for k in range(len(dims)):
+            expect_dims[k] += weight * dims[k]
+            expect_hom[k] += weight * hom[k]
+    assert summands.homology_dims(factors, expect_dims) == expect_hom
+    assert set(table.rows) == set(occurring)
