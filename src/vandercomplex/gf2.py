@@ -277,12 +277,16 @@ class GF2Matrix:
     # -- arithmetic ----------------------------------------------------
 
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
-        """Each output row XORs the rows of other that self's row selects."""
+        """Each output row XORs the rows of other that self's row selects.
+
+        A right factor without set bits gives the zero matrix at once."""
         if self.cols != other.rows:
             raise ValidationError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         _check_bytes(self.rows, other.cols)
+        if not any(other.ints):
+            return GF2Matrix(self.rows, other.cols, [0] * self.rows)
         return GF2Matrix(self.rows, other.cols, list(_product_rows(self.ints, other.ints)))
 
     def compose_is_zero(self, other: "GF2Matrix") -> bool:

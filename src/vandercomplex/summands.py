@@ -21,10 +21,13 @@ product of one factor per position:
   position, m[i][j] - 1 for a position i held at column j.
 
 `summand_table(n)` holds dim C^k(N, j) and dim H^k(N, j) of the constraint
-sets of S_n, one row per set keyed by its code, and fills a row the first
-time a complex needs it.  `homology_dims` walks the constraint sets whose
-multiplicity is nonzero and sums their rows with those multiplicities.
-Rows and sums are Python integers, so the sums are exact at any size.
+sets of S_n.  A set is looked up by an integer key, its code's digits in
+base n + 1, and the key leads to a row id; equal rows are stored once, so
+the 13,327 sets of S_6 share 234 distinct rows.  A row is filled the first
+time a complex needs its set.  `homology_dims` walks the constraint sets
+whose multiplicity is nonzero, adds each one's multiplicity to its row id,
+and sums the distinct rows with those weights.  Rows and sums are Python
+integers, so the sums are exact at any size.
 """
 
 from itertools import permutations
@@ -41,23 +44,45 @@ Row = tuple[tuple[int, ...], tuple[int, ...]]
 class SummandTable:
     """Level dimensions and GF(2) cohomology of the C(N, j) of one S_n.
 
-    A constraint set is keyed by its code: code[i] is the value position i
-    is held at, or 0 for a free position.  rows[code] is the pair (dim C^k,
-    dim H^k) of its complex, as tuples over k, once it has been filled.
-    Rows are tuples because the table is shared by every caller.
+    A constraint set is named by its code: code[i] is the value position i
+    is held at, or 0 for a free position.  Its key is the integer whose
+    digits in base n + 1 are the code, position 0 most significant.
+    ids[key] is the id of its row once filled, and rows[id] the pair
+    (dim C^k, dim H^k) as tuples over k; sets with equal rows share one id,
+    so rows holds each distinct row once, under the ids 0, 1, ... in
+    order.  Rows are tuples because the table is shared by every caller.
     """
 
     def __init__(self, poset: BruhatPoset):
         self.poset = poset
         self.level_of = {p: k for k, level in enumerate(poset.levels) for p in level}
-        self.rows: dict[Code, Row] = {}
+        self.ids: dict[int, int] = {}
+        self.rows: dict[int, Row] = {}
+        self._interned: dict[Row, int] = {}  # row -> its id
 
-    def row(self, code: Code) -> Row:
-        """The (dims, hom) row of a constraint set, filled on first use."""
-        row = self.rows.get(code)
-        if row is None:
-            row = self.rows[code] = self.fill(code)
-        return row
+    def key(self, code: Code) -> int:
+        """The integer key of a code."""
+        key = 0
+        for v in code:
+            key = key * (self.poset.n + 1) + v
+        return key
+
+    def code(self, key: int) -> Code:
+        """The code of an integer key."""
+        digits = []
+        for _ in range(self.poset.n):
+            key, v = divmod(key, self.poset.n + 1)
+            digits.append(v)
+        return tuple(reversed(digits))
+
+    def row_id(self, key: int) -> int:
+        """The id of a constraint set's row, filling the row on first use."""
+        i = self.ids.get(key)
+        if i is None:
+            row = self.fill(self.code(key))
+            i = self.ids[key] = self._interned.setdefault(row, len(self.rows))
+            self.rows.setdefault(i, row)
+        return i
 
     def members(self, code: Code) -> list[Perm]:
         """The permutations of a constraint set, in lexicographic order."""
@@ -125,32 +150,37 @@ def homology_dims(factors, cochain_dims) -> list[int]:
     the product of its positions' factors times.  The walk over positions
     keeps a running product and drops a branch at a zero factor or a value
     already held, so only the sets that occur are reached and filled.
-    Many sets have equal rows (234 distinct rows among the 13,327 sets of
-    S_6), so the multiplicities of equal rows are added first.
+    Each set is carried as its integer key and looked up in the table's
+    ids, being decoded and filled only on a miss; its multiplicity goes to
+    its row id, so each distinct row is summed once (234 distinct rows
+    serve the 13,327 sets of S_6).
     cochain_dims are the complex's level dimensions from the counting
     formula: the summed summand dimensions must reproduce them, or
     ConsistencyError is raised.
     """
     n = len(factors)
     table = summand_table(n)
-    # (code, multiplicity, held values as bits); a free position holds no bit
-    reached: list[tuple[Code, int, int]] = [((), 1, 0)]
+    # (key, multiplicity, held values as bits); a free position holds no bit
+    reached: list[tuple[int, int, int]] = [(0, 1, 0)]
     for factor in factors:
         choices = [(j, f, 1 << j if j else 0) for j, f in enumerate(factor) if f]
         reached = [
-            (code + (j,), weight * f, held | bit)
-            for code, weight, held in reached
+            (key * (n + 1) + j, weight * f, held | bit)
+            for key, weight, held in reached
             for j, f, bit in choices
             if not held & bit
         ]
-    total: dict[Row, int] = {}
-    for code, weight, _ in reached:
-        row = table.row(code)
-        total[row] = total.get(row, 0) + weight
-    weights = list(total.values())
+    ids = table.ids
+    for key, _, _ in reached:
+        if key not in ids:
+            table.row_id(key)
+    weights = [0] * len(table.rows)
+    for key, weight, _ in reached:
+        weights[ids[key]] += weight
+    rows = table.rows.values()  # in id order
     zero = [0] * (table.poset.max_rank + 1)  # the sums when no set occurs
-    dims = [sum(map(mul, weights, column)) for column in zip(*(d for d, _ in total))] or zero
-    hom = [sum(map(mul, weights, column)) for column in zip(*(h for _, h in total))] or zero
+    dims = [sum(map(mul, weights, column)) for column in zip(*(d for d, _ in rows))] or zero
+    hom = [sum(map(mul, weights, column)) for column in zip(*(h for _, h in rows))] or zero
     if dims != list(cochain_dims):
         raise ConsistencyError(
             f"summand dimensions {dims} do not reproduce the cochain dimensions {list(cochain_dims)}"

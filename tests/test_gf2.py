@@ -264,6 +264,21 @@ def test_compose_is_zero_past_the_byte_ceiling(monkeypatch):
     assert GF2Matrix.zeros(2000, 1).compose_is_zero(ones)
 
 
+def test_product_with_a_zero_right_factor_returns_at_once(monkeypatch):
+    def no_product(a, b):
+        raise AssertionError("the product was computed")
+
+    monkeypatch.setattr(gf2, "_product_rows", no_product)
+    a = random_matrix(random.Random(19), 70, 65, 0.5)
+    assert a @ GF2Matrix(65, 9) == GF2Matrix.zeros(70, 9)
+    assert a @ GF2Matrix(65, 0) == GF2Matrix.zeros(70, 0)
+    with pytest.raises(ValidationError):
+        a @ GF2Matrix(64, 9)  # the shape is checked first
+    monkeypatch.setattr(gf2, "MAX_MATRIX_BYTES", 64)
+    with pytest.raises(SizeError):
+        a @ GF2Matrix(65, 9)  # and then the byte ceiling
+
+
 def test_from_triplets_duplicates_cancel():
     m = GF2Matrix.from_triplets(2, 2, [(0, 1), (0, 1), (1, 0)])
     assert m.to_rows() == [[0, 0], [1, 0]]

@@ -88,10 +88,11 @@ def test_corrupted_summand_entry_is_caught(monkeypatch):
     d, x = torus_two_n(3), (2, 2, 2)
     verify_euler(d, x)
     table = summand_table(3)
-    dims, hom = table.rows[(0, 0, 0)]  # no position held, occurs in every complex
+    free = table.ids[0]  # no position held, occurs in every complex
+    dims, hom = table.rows[free]
     corrupted = list(dims)
     corrupted[1] += 1
-    monkeypatch.setitem(table.rows, (0, 0, 0), (tuple(corrupted), hom))
+    monkeypatch.setitem(table.rows, free, (tuple(corrupted), hom))
     with pytest.raises(ConsistencyError, match="do not reproduce"):
         verify_euler(d, x)
 
@@ -100,10 +101,11 @@ def test_corrupted_summand_homology_is_caught(monkeypatch):
     m = random_matrix(3, 3, random.Random(7))
     matrix_report(m)
     table = summand_table(3)
-    dims, hom = table.rows[(0, 0, 0)]
+    free = table.ids[0]
+    dims, hom = table.rows[free]
     corrupted = list(hom)
     corrupted[0] += 1
-    monkeypatch.setitem(table.rows, (0, 0, 0), (dims, tuple(corrupted)))
+    monkeypatch.setitem(table.rows, free, (dims, tuple(corrupted)))
     with pytest.raises(ConsistencyError, match="does not fit"):
         matrix_report(m)
 
@@ -140,4 +142,25 @@ def test_pruned_walk_matches_every_constraint_set(monkeypatch, n, low):
             expect_dims[k] += weight * dims[k]
             expect_hom[k] += weight * hom[k]
     assert summands.homology_dims(factors, expect_dims) == expect_hom
-    assert set(table.rows) == set(occurring)
+    assert set(table.ids) == {table.key(code) for code in occurring}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_keys_and_interned_rows(monkeypatch, n):
+    monkeypatch.setattr(summands, "_TABLES", {})
+    table = summand_table(n)
+    for code in product(range(n + 1), repeat=n):
+        key = table.key(code)
+        assert key == int("".join(map(str, code)), n + 1)  # position 0 most significant
+        assert table.code(key) == code
+    rows = {}
+    for code in product(range(n + 1), repeat=n):
+        held = [v for v in code if v]
+        if len(set(held)) == len(held):
+            rows[code] = (table.row_id(table.key(code)), table.fill(code))
+    for id_a, row_a in rows.values():
+        assert table.rows[id_a] == row_a
+        for id_b, row_b in rows.values():
+            assert (id_a == id_b) == (row_a == row_b)
+    assert list(table.rows) == list(range(len(table.rows)))
+    assert len(set(table.rows.values())) == len(table.rows) == len({row for _, row in rows.values()})
