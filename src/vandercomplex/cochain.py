@@ -19,9 +19,13 @@ constant maps.
 
 Every such block is a sum of independent factors, one or two per
 position: a factor with k choices j adds j times its input and output
-steps to the pair's column and row.  `_block_matrices` expands the factors
-of all blocks of a complex or chain map at once with whole-array
-operations, and builds every level from one stacked set of positions.
+steps to the pair's column and row.  The block layouts are tuples of
+Python ints, blocks with the same digits sharing one, and assembly is
+plain Python: the callers group the blocks that share factors, and
+`_block_matrices` checks each block's first and last positions against
+its own level, expands each group factor by factor, and builds every
+level of a complex or chain map from one `from_triplets` call on the
+positions stacked by level.  Building a complex never imports numpy.
 
 Circle identity across different smoothings is never needed: a changed
 color factor depends only on the two circle counts.
@@ -34,12 +38,14 @@ them, and homology on a built complex is the dense check on that route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from math import prod
+from operator import mul
 from time import perf_counter
 
 from .bruhat import DEFAULT_N_CAP, Perm, build_bruhat, inversions, validate_perm
 from .errors import ConsistencyError, PreconditionError, SizeError, ValidationError, strict_int
-from .gf2 import GF2Matrix, _check_bytes, _from_level_triplets
+from .gf2 import GF2Matrix, _check_bytes
 from .linkdiag import DEFAULT_SMOOTHING_CAP, LinkDiagram, is_height_uniform, s_vector
 
 ColorVector = tuple[int, ...]
@@ -56,8 +62,9 @@ def validate_colors(x) -> ColorVector:
 
 @dataclass(frozen=True)
 class BlockPlaces:
-    """The block layouts of a complex as arrays, one row per permutation in
-    level order and one column per position.
+    """The block layouts of a complex, one entry per permutation in level
+    order: level and offset are ints, and count, radix, size, last and step
+    are tuples with one int per position.
 
     A block's basis is mixed radix: each position has `count` digits of
     the same radix, and the first digit is the most significant.  radix is
@@ -67,36 +74,37 @@ class BlockPlaces:
     digits move together.  offset is the block's first index in its level.
     """
 
-    level: np.ndarray
-    offset: np.ndarray
-    count: np.ndarray
-    radix: np.ndarray
-    size: np.ndarray
-    last: np.ndarray
-    step: np.ndarray
+    level: tuple[int, ...]
+    offset: tuple[int, ...]
+    count: tuple[tuple[int, ...], ...]
+    radix: tuple[tuple[int, ...], ...]
+    size: tuple[tuple[int, ...], ...]
+    last: tuple[tuple[int, ...], ...]
+    step: tuple[tuple[int, ...], ...]
 
 
-def _block_places(levels, offsets: list, digits: list) -> BlockPlaces:
-    """BlockPlaces of the permutations of `levels`; offsets and digits list
-    each one's first index and (radix, digit count) per position, in level
-    order."""
-    import numpy as np
-
-    radix = np.array([r for r, _ in digits], dtype=np.int64)
-    count = np.array([c for _, c in digits], dtype=np.int64)
-    radix[count == 0] = 1
-    size = radix**count
-    last = np.ones_like(size)
-    last[:, :-1] = np.cumprod(size[:, :0:-1], axis=1)[:, ::-1]
-    return BlockPlaces(
-        level=np.repeat(np.arange(len(levels)), [len(level) for level in levels]),
-        offset=np.array(offsets, dtype=np.int64),
-        count=count,
-        radix=radix,
-        size=size,
-        last=last,
-        step=last * ((size - 1) // np.maximum(radix - 1, 1)),
-    )
+def _block_places(levels, digits_for) -> tuple[BlockPlaces, list[int]]:
+    """BlockPlaces of the permutations of `levels`, and each level's
+    dimension; digits_for(p) gives, per position, the radix and the number
+    of digits of p's block.  Blocks with the same digits share one layout."""
+    layouts = {}  # (radices, counts) -> count, radix, size, last, step
+    blocks = []
+    dims = []
+    for k, perms in enumerate(levels):
+        start = 0
+        for p in perms:
+            radices, counts = map(tuple, digits_for(p))
+            layout = layouts.get((radices, counts))
+            if layout is None:
+                rs = tuple([r if c else 1 for r, c in zip(radices, counts)])
+                ss = tuple(map(pow, rs, counts))
+                ls = tuple(accumulate(ss[:0:-1], mul, initial=1))[::-1]
+                steps = tuple([w * ((s - 1) // (r - 1)) if r > 1 else 0 for w, s, r in zip(ls, ss, rs)])
+                layout = layouts[radices, counts] = (counts, rs, ss, ls, steps, prod(ss))
+            blocks.append((k, start, *layout[:5]))
+            start += layout[5]
+        dims.append(start)
+    return BlockPlaces(*zip(*blocks)), dims
 
 
 @dataclass
@@ -130,16 +138,15 @@ class CochainComplex:
 
     def _span(self, b: int) -> tuple[int, int]:
         """First and past-the-last index of block b in its level."""
-        start = int(self.places.offset[b])
-        return start, start + int(self.places.size[b].prod())
+        start = self.places.offset[b]
+        return start, start + prod(self.places.size[b])
 
     def _digits(self, b: int) -> list[tuple[int, int, int]]:
         """(radix, place value, position) of each digit of block b, the
         first digit most significant."""
         pl = self.places
         out = []
-        for pos in range(self.n):
-            radix, count, last = (int(a[b, pos]) for a in (pl.radix, pl.count, pl.last))
+        for pos, (radix, count, last) in enumerate(zip(pl.radix[b], pl.count[b], pl.last[b])):
             out.extend((radix, last * radix ** (count - 1 - t), pos) for t in range(count))
         return out
 
@@ -185,31 +192,54 @@ class CochainComplex:
         return True
 
 
-def _block_matrices(shapes, level, r0, c0, k, mi, mo) -> list[GF2Matrix]:
+def _block_matrices(shapes, groups) -> list[GF2Matrix]:
     """Matrices of the given shapes, assembled from blocks.
 
-    Block b sets, in matrix level[b], the bit at row r0[b] + sum_f j_f mo[b, f]
-    and column c0[b] + sum_f j_f mi[b, f] for every choice 0 <= j_f < k[b, f].
-    Every matrix's packed size is checked against the byte ceiling first;
-    then all blocks expand at once, factor by factor, and one
-    `from_triplets` call builds every matrix.
+    groups gives (k, mi, mo, blocks) for the blocks that share factors: a
+    block (level, r0, c0) sets, in matrix `level`, the bit at row
+    r0 + sum_f j_f mo[f] and column c0 + sum_f j_f mi[f] for every choice
+    0 <= j_f < k[f].  Every k is at least 1, and a factor with more than
+    one choice has nonnegative steps, not both 0.  Every matrix's packed
+    size is checked against the byte ceiling first, and each block's first
+    and last positions against its own matrix before it expands.  Each
+    group's blocks then expand together, factor by factor, into positions
+    stacked by level, and one `from_triplets` call builds every matrix.
     """
-    import numpy as np
-
     for rows, cols in shapes:
         _check_bytes(rows, cols)
-    count = k.prod(axis=1)
-    block = np.repeat(np.arange(count.size), count)
-    t = np.arange(block.size) - np.repeat(np.cumsum(count) - count, count)
-    rows, cols = r0[block], c0[block]
-    # the last factor varies fastest; a factor with one choice adds nothing
-    for f in reversed(np.flatnonzero((k > 1).any(axis=0)).tolist()):
-        kf = k[:, f][block]
-        j = t % kf
-        t //= kf
-        rows += j * mo[:, f][block]
-        cols += j * mi[:, f][block]
-    return _from_level_triplets(shapes, level[block], rows, cols)
+    starts = list(accumulate((rows for rows, _ in shapes), initial=0))
+    width = max((cols for _, cols in shapes), default=0)
+    places = []  # row * width + column in the stacked matrices
+    for ks, mis, mos, blocks in groups:
+        down = right = 0  # how far a block reaches past its first row and column
+        steps = []
+        for kf, i, o in zip(ks, mis, mos):
+            if kf != 1:  # a factor with one choice adds nothing
+                if (kf - 2 | i | o) < 0 or not i | o:
+                    raise ValidationError(f"block factor ({kf}, {i}, {o}) needs k >= 1 and steps >= 0, not both 0")
+                down += (kf - 1) * o
+                right += (kf - 1) * i
+                steps.append((kf, o * width + i))
+        firsts = []
+        for lv, r, c in blocks:
+            rows, cols = shapes[lv]
+            if r < 0 or c < 0 or r + down >= rows or c + right >= cols:
+                raise ValidationError(
+                    f"block from ({r}, {c}) to ({r + down}, {c + right}) is out of range "
+                    f"for level {lv}, a {rows}x{cols} matrix"
+                )
+            firsts.append((starts[lv] + r) * width + c)
+        for kf, step in steps:
+            firsts = [q + d for d in range(0, kf * step, step) for q in firsts]
+        places += firsts
+    pairs = list(map(divmod, places, repeat(width)))
+    stacked = GF2Matrix.from_triplets(starts[-1], width, pairs).ints
+    return [GF2Matrix(rows, cols, stacked[a:b]) for (rows, cols), a, b in zip(shapes, starts, starts[1:])]
+
+
+def _swap(kept, swapped, i: int, j: int) -> tuple:
+    """kept, with its entries i < j taken from swapped."""
+    return kept[:i] + swapped[i : i + 1] + kept[i + 1 : j] + swapped[j : j + 1] + kept[j + 1 :]
 
 
 def check_budget(dims, budget: int) -> None:
@@ -233,39 +263,33 @@ def _assemble(
     size are checked before any coordinate is built.  fields go to the
     CochainComplex as they are.
     """
-    import numpy as np
-
     poset = build_bruhat(n, cap=n_cap)
-    blocks = [p for level in poset.levels for p in level]
-    offsets = []
-    digits = []
-    dims = []
-    for level in poset.levels:
-        offset = 0
-        for p in level:
-            radices, counts = digits_for(p)
-            digits.append((radices, counts))
-            offsets.append(offset)
-            offset += prod(r**c for r, c in zip(radices, counts))
-        dims.append(offset)
+    places, dims = _block_places(poset.levels, digits_for)
     check_budget(dims, budget)
 
-    places = _block_places(poset.levels, offsets, digits)
-    index = {p: b for b, p in enumerate(blocks)}
-    src = np.array([index[p] for p, _ in poset.cover_edges], dtype=np.int64)
-    tgt = np.array([index[q] for _, q in poset.cover_edges], dtype=np.int64)
-    perms = np.array(blocks, dtype=np.int64)
-    swapped = perms[src] != perms[tgt]
-    out_step = places.step[tgt] if merge_split else 0
-    differentials = _block_matrices(
-        [(dims[k + 1], dims[k]) for k in range(poset.max_rank)],
-        places.level[src],
-        places.offset[tgt],
-        places.offset[src],
-        np.where(swapped, places.radix[src], places.size[src]),
-        np.where(swapped, places.step[src], places.last[src]),
-        np.where(swapped, out_step, places.last[tgt]),
-    )
+    # On a cover edge from block s to block t, the factors of the positions
+    # i < j that it swaps come from the connected map, the others are the
+    # identity.  last and step follow from size and radix, so the factors
+    # depend only on the sizes and radices of s and t and on i and j.
+    pl = places
+    outs = pl.step if merge_split else [(0,) * n] * len(pl.step)
+    groups = {}
+    index = {p: b for b, p in enumerate(chain.from_iterable(poset.levels))}
+    for p, q in poset.cover_edges:
+        s, t = index[p], index[q]
+        i, j = [pos for pos in range(n) if p[pos] != q[pos]]
+        key = (pl.size[s], pl.radix[s], pl.size[t], pl.radix[t], i, j)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (
+                _swap(pl.size[s], pl.radix[s], i, j),
+                _swap(pl.last[s], pl.step[s], i, j),
+                _swap(pl.last[t], outs[t], i, j),
+                [],
+            )
+        group[3].append((pl.level[s], pl.offset[t], pl.offset[s]))
+    shapes = [(dims[k + 1], dims[k]) for k in range(poset.max_rank)]
+    differentials = _block_matrices(shapes, groups.values())
 
     return CochainComplex(
         n=n,

@@ -9,10 +9,10 @@ matrices of chain and induced maps, where the fixed cost of a numpy call
 would be most of the work.  A product XORs, for each row of the left
 factor, the rows of the right factor that its set bits select, one set bit
 at a time; `compose_is_zero` does the same row by row and stops at the
-first nonzero row, never building the product.  `words` packs the rows
-into 64-bit words when a caller wants them as an array; numpy is imported
-only by the functions that pack or unpack words or take arrays, so
-elimination on integers never loads it.
+first nonzero row, never building the product.  Only the array
+accessors (`words`, which packs the rows into 64-bit words,
+`to_bool_array` and `from_bool_array`) import numpy; every other
+constructor and accessor works on the row integers and never loads it.
 
 There is one elimination rule: a vector is reduced by the stored row at
 its lowest set bit until that bit is free, and then stored there
@@ -100,6 +100,11 @@ def _integers(values: list, what: str) -> list[int]:
     return list(map(int, values))
 
 
+def _bit_string(value: int, width: int) -> str:
+    """The bits of an int below 1 << width as "0" and "1", bit 0 first."""
+    return bin(value | 1 << width)[:2:-1]
+
+
 def _bits_value(bits: list[int]) -> int:
     """Integers as one int, bit j being bits[j] mod 2, in one pass."""
     return int("".join("1" if b & 1 else "0" for b in reversed(bits)) or "0", 2)
@@ -140,12 +145,10 @@ class GF2Vector:
 
     def support(self) -> list[int]:
         """Indices of the set bits, ascending."""
-        import numpy as np
-
-        return np.flatnonzero(_unpack(self.words, self.n)).tolist()
+        return [i for i, bit in enumerate(_bit_string(self.value, self.n)) if bit == "1"]
 
     def to_bits(self) -> list[int]:
-        return _unpack(self.words, self.n).tolist()
+        return list(map(int, _bit_string(self.value, self.n)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GF2Vector):
@@ -153,7 +156,7 @@ class GF2Vector:
         return self.n == other.n and self.value == other.value
 
     def __repr__(self) -> str:
-        return f"GF2Vector({''.join(map(str, self.to_bits()))})"
+        return f"GF2Vector({_bit_string(self.value, self.n)})"
 
 
 class GF2Matrix:
@@ -196,19 +199,24 @@ class GF2Matrix:
         """Build from (row, col) positions; repeated positions cancel mod 2.
 
         coords is an integer array of shape (k, 2), checked by its dtype
-        alone, or an iterable of pairs of integers, checked entry by entry;
-        floats and bools are refused.  The byte ceiling is not applied here:
-        callers that build large matrices check it first, as assembly does
-        for each level.
+        alone, or an iterable of pairs of integers, split by one strict zip
+        and checked by one pass over their types; floats and bools are
+        refused, and so is any position out of range, even a repeated one
+        that would cancel.  The byte ceiling is not applied here: callers
+        that build large matrices check it first, as assembly does.
         """
-        r, c = _positions(coords)
-        if r and (min(r) < 0 or max(r) >= rows or min(c) < 0 or max(c) >= cols):
+        pairs, r, c = _positions(coords)
+        ints = [0] * rows
+        # a row past the end or a negative column fails in the loop; a
+        # negative row or a column past the end would not, and could cancel
+        if r and (min(r) < 0 or max(c) >= cols):
             raise ValidationError("triplet coordinate out of range")
-        m = cls(rows, cols, [0] * rows)
-        ints = m.ints
-        for i, j in zip(r, c):
-            ints[i] ^= 1 << j
-        return m
+        try:
+            for i, j in pairs:
+                ints[i] ^= 1 << j
+        except (IndexError, ValueError):
+            raise ValidationError("triplet coordinate out of range") from None
+        return cls(rows, cols, ints)
 
     @classmethod
     def from_bool_array(cls, arr: np.ndarray) -> "GF2Matrix":
@@ -248,7 +256,7 @@ class GF2Matrix:
         return not any(self.ints)
 
     def to_rows(self) -> list[list[int]]:
-        return _unpack(self.words, self.cols).tolist()
+        return [list(map(int, _bit_string(x, self.cols))) for x in self.ints]
 
     def to_bool_array(self) -> np.ndarray:
         """Unpacked bits; meant for small matrices (tests, tensor assembly)."""
@@ -279,13 +287,14 @@ class GF2Matrix:
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
         """Each output row XORs the rows of other that self's row selects.
 
-        A right factor without set bits gives the zero matrix at once."""
+        A factor without set bits on either side gives the zero matrix at
+        once."""
         if self.cols != other.rows:
             raise ValidationError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         _check_bytes(self.rows, other.cols)
-        if not any(other.ints):
+        if not any(self.ints) or not any(other.ints):
             return GF2Matrix(self.rows, other.cols, [0] * self.rows)
         return GF2Matrix(self.rows, other.cols, list(_product_rows(self.ints, other.ints)))
 
@@ -309,28 +318,29 @@ class GF2Matrix:
         return [GF2Vector(self.cols, v) for v in kernel]
 
 
-def _positions(coords) -> tuple[list[int], list[int]]:
-    """The rows and columns of (row, col) positions as lists of ints."""
+def _positions(coords) -> tuple:
+    """(row, col) positions as pairs of ints, and their rows and columns."""
     np = sys.modules.get("numpy")  # an array can only come from a loaded numpy
     if np is not None and isinstance(coords, np.ndarray):
         if not coords.size:
-            return [], []
+            return [], [], []
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ValidationError("coords must be pairs (row, col)")
         if coords.dtype.kind not in "iu":
             raise ValidationError(f"coords must be integers, got {coords.dtype}")
-        return coords[:, 0].tolist(), coords[:, 1].tolist()
+        r, c = coords[:, 0].tolist(), coords[:, 1].tolist()
+        return zip(r, c), r, c
     pairs = list(coords)
     if not pairs:
-        return [], []
-    try:
-        lengths = set(map(len, pairs))
-    except TypeError:
-        lengths = None
-    if lengths != {2}:
-        raise ValidationError("coords must be pairs (row, col)")
-    r, c = zip(*pairs)
-    return _integers(list(r), "coords"), _integers(list(c), "coords")
+        return [], [], []
+    try:  # strict: every pair as long as the first, and exactly two of them
+        r, c = zip(*pairs, strict=True)
+    except (TypeError, ValueError):
+        raise ValidationError("coords must be pairs (row, col)") from None
+    if set(map(type, r + c)) <= {int}:
+        return pairs, r, c
+    r, c = _integers(list(r), "coords"), _integers(list(c), "coords")
+    return zip(r, c), r, c
 
 
 def _product_rows(a: list[int], b: list[int]):
@@ -343,27 +353,6 @@ def _product_rows(a: list[int], b: list[int]):
             acc ^= b[low.bit_length() - 1]
             x ^= low
         yield acc
-
-
-def _from_level_triplets(shapes, level, rows, cols) -> list[GF2Matrix]:
-    """One matrix per (rows, cols) shape, with a bit at (rows[t], cols[t])
-    of matrix level[t] for every t.
-
-    The positions must lie inside their matrix; repeated positions cancel
-    mod 2.  The levels are stacked by row into one `from_triplets` matrix
-    as wide as the widest, and each takes its slice of the row ints.
-    """
-    import numpy as np
-
-    starts = np.zeros(len(shapes) + 1, dtype=np.int64)
-    np.cumsum([r for r, _ in shapes], out=starts[1:])
-    coords = np.empty((rows.size, 2), dtype=np.int64)
-    np.add(starts[level], rows, out=coords[:, 0])
-    coords[:, 1] = cols
-    width = max((c for _, c in shapes), default=0)
-    stacked = GF2Matrix.from_triplets(int(starts[-1]), width, coords).ints
-    bounds = starts.tolist()
-    return [GF2Matrix(r, c, stacked[a:b]) for (r, c), a, b in zip(shapes, bounds, bounds[1:])]
 
 
 class QuotientSpace:

@@ -128,10 +128,7 @@ def tensor_assemble(factors, budget: int = DEFAULT_TENSOR_BUDGET) -> GF2Matrix:
         )
     coords = [(0, 0)]
     for f in factors:
-        support = [
-            (int(i), int(j))
-            for i, j in zip(*f.to_bool_array().nonzero())
-        ]
+        support = [(i, j) for i, row in enumerate(f.to_rows()) for j, bit in enumerate(row) if bit]
         coords = [
             (r * f.rows + i, c * f.cols + j) for r, c in coords for i, j in support
         ]

@@ -13,6 +13,10 @@ is capped off (merges then counit), an unmatched target position is
 filled in (unit then splits), and each dot contributes its sphere value,
 the dot color mod 2.
 
+A chain map is assembled like a differential, in plain Python: block by
+block, each factor's choices and steps are read from the block layouts of
+the two complexes.
+
 Composition concatenates arcs through shared middle points.  A middle
 point matched on neither side leaves a closed cap-cup component behind;
 it is recorded as a dot of that point's color, which is exactly what
@@ -21,6 +25,8 @@ makes the induced maps compose on the nose.
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .bruhat import DEFAULT_N_CAP
 from .cochain import (
@@ -203,8 +209,6 @@ def chain_map(
     An endomorphism without a prebuilt target maps the source complex to
     itself.
     """
-    import numpy as np
-
     if m.n != d.n:
         raise PreconditionError(
             f"morphism is between vectors of length {m.n}, diagram has {d.n} crossings"
@@ -224,23 +228,33 @@ def chain_map(
         return ChainMap(morphism=m, source=cx, target=cy, blocks=zeros)
     # One factor per source position (the identity on an arc that stays
     # put, the connected map onto another target position or a cap), and a
-    # cup per unmatched target position.
+    # cup per unmatched target position.  Block b of one complex faces
+    # block b of the other.  Every block of a link complex has the colors
+    # as its radices, so its layout, and with it the factors here, depend
+    # only on its digit counts.  The factors' k, then mi, then mo are picked
+    # by index from one tuple per layout: the source's size, radix, last
+    # and step, the target's radix, last and step, and a zero.
     px, py = cx.places, cy.places
-    zero = np.zeros_like(px.step[:, 0])
-    by_src = m.arc_by_source()
-    by_tgt = m.arc_by_target()
-    factors = []
+    sx, rx, lx, stx, ry, ly, sty, zero = range(0, 8 * m.n, m.n)
+    by_src, by_tgt = m.arc_by_source(), m.arc_by_target()
+    picks = []
     for pos in range(m.n):
         j = by_src.get(pos + 1)
         if j == pos + 1:
-            factors.append((px.size[:, pos], px.last[:, pos], py.last[:, pos]))
+            picks.append((sx + pos, lx + pos, ly + pos))
         else:
-            factors.append((px.radix[:, pos], px.step[:, pos], py.step[:, j - 1] if j else zero))
-    for pos in range(m.n):
-        if pos + 1 not in by_tgt:
-            factors.append((py.radix[:, pos], zero, py.step[:, pos]))
-    k, mi, mo = (np.array(column).T for column in zip(*factors))
-    levels = _block_matrices(shapes, px.level, py.offset, px.offset, k, mi, mo)
+            picks.append((rx + pos, stx + pos, sty + j - 1 if j else zero))
+    picks += [(ry + pos, zero, sty + pos) for pos in range(m.n) if pos + 1 not in by_tgt]
+    pick, f = itemgetter(*chain.from_iterable(zip(*picks))), len(picks)
+    groups = {}
+    for b, (counts, lv, r, c) in enumerate(zip(px.count, px.level, py.offset, px.offset)):
+        group = groups.get(counts)
+        if group is None:
+            layouts = (px.size[b], px.radix[b], px.last[b], px.step[b], py.radix[b], py.last[b], py.step[b])
+            factors = pick(sum(layouts, ()) + (0,))
+            group = groups[counts] = (factors[:f], factors[f : 2 * f], factors[2 * f :], [])
+        group[3].append((lv, r, c))
+    levels = _block_matrices(shapes, groups.values())
     return ChainMap(morphism=m, source=cx, target=cy, blocks=tuple(levels))
 
 

@@ -21,6 +21,8 @@ from vandercomplex import (
     torus_two_n,
     verify_euler,
 )
+from vandercomplex.cochain import _block_matrices
+from vandercomplex.errors import ValidationError
 from vandercomplex.gf2 import GF2Matrix
 
 
@@ -294,6 +296,35 @@ def test_homology_rejects_broken_differentials():
     assert not broken.verify_d_squared()
     with pytest.raises(ConsistencyError, match="square to zero"):
         homology(broken)
+
+
+# Stacked, these two levels are 4 rows by 5 columns.
+LEVEL_SHAPES = [(1, 2), (3, 5)]
+
+
+def test_blocks_fill_their_own_level():
+    groups = [((), (), (), [(0, 0, 1)]), ((5,), (1,), (0,), [(1, 2, 0)])]
+    levels = _block_matrices(LEVEL_SHAPES, groups)
+    assert [m.to_rows() for m in levels] == [[[0, 1]], [[0] * 5, [0] * 5, [1] * 5]]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        pytest.param(((), (), (), [(0, 0, 3)]), id="position-past-its-columns"),
+        pytest.param(((), (), (), [(0, 1, 0)]), id="position-past-its-rows"),
+        pytest.param(((3,), (1,), (0,), [(0, 0, 0)]), id="factor-past-its-columns"),
+        pytest.param(((2,), (0,), (1,), [(0, 0, 1)]), id="factor-past-its-rows"),
+        pytest.param(((2,), (-1,), (0,), [(1, 2, 4)]), id="negative-step"),
+        pytest.param(((0,), (1,), (1,), [(1, 0, 0)]), id="no-choice"),
+        pytest.param(((2,), (0,), (0,), [(1, 0, 0)]), id="no-step"),
+    ],
+)
+def test_blocks_are_checked_against_their_own_level(group):
+    # each stays inside the stacked shape, so only a check per block and
+    # level sees it
+    with pytest.raises(ValidationError):
+        _block_matrices(LEVEL_SHAPES, [group])
 
 
 def test_block_requires_a_cover():

@@ -264,6 +264,21 @@ def test_compose_is_zero_past_the_byte_ceiling(monkeypatch):
     assert GF2Matrix.zeros(2000, 1).compose_is_zero(ones)
 
 
+def test_product_with_a_zero_left_factor_returns_at_once(monkeypatch):
+    def no_product(a, b):
+        raise AssertionError("the product was computed")
+
+    monkeypatch.setattr(gf2, "_product_rows", no_product)
+    b = random_matrix(random.Random(23), 65, 70, 0.5)
+    assert GF2Matrix(9, 65) @ b == GF2Matrix.zeros(9, 70)
+    assert GF2Matrix(0, 65) @ b == GF2Matrix.zeros(0, 70)
+    with pytest.raises(ValidationError):
+        GF2Matrix(9, 64) @ b  # the shape is checked first
+    monkeypatch.setattr(gf2, "MAX_MATRIX_BYTES", 64)
+    with pytest.raises(SizeError):
+        GF2Matrix(9, 65) @ b  # and then the byte ceiling
+
+
 def test_product_with_a_zero_right_factor_returns_at_once(monkeypatch):
     def no_product(a, b):
         raise AssertionError("the product was computed")

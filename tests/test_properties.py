@@ -4,9 +4,10 @@ GF(2) matrix invariants.
 Random JSON, and random near-miss versions of each format, must either
 parse or raise ValidationError; the command line must answer every such
 file with exit 0, 1 or 2 and at most one line on stderr, never a
-traceback.  Every way of building a GF2Matrix, and every product,
-transpose and submatrix, must keep each row inside its columns and agree
-with a numpy reference.  Examples are derandomized so the suite is
+traceback.  Every way of building a GF2Matrix, block assembly included,
+and every product, transpose and submatrix, must keep each row inside its
+columns and agree with a numpy reference, through both the array and the
+bit accessors.  Examples are derandomized so the suite is
 repeatable.
 """
 
@@ -23,7 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from vandercomplex import ValidationError, format_diagram, gf2, torus_two_n  # noqa: E402
+from vandercomplex import ValidationError, cochain, format_diagram, gf2, torus_two_n  # noqa: E402
 from vandercomplex.cli import main  # noqa: E402
 from vandercomplex.gendet import parse_matrix  # noqa: E402
 from vandercomplex.gf2 import GF2Matrix  # noqa: E402
@@ -149,17 +150,30 @@ def _pairs(rng, bits) -> list[tuple[int, int]]:
     return pairs
 
 
-def _level_triplets(rng, bits):
-    """`bits` and a second random level, built by one stacked assembly call."""
+def _block_levels(rng, bits):
+    """`bits` and a second random level, built by one block assembly call.
+
+    Every set bit is a block of one position, some given twice so that
+    they cancel, and each level also gets a random rectangle of stride one
+    or two, a block of two factors, whose bits are XORed into the
+    reference."""
     other = _random_bits(rng, rng.choice(WIDTHS), rng.choice(WIDTHS), 0.3)
-    level, rows, cols = [], [], []
-    for k, b in enumerate((bits, other)):
-        for i, j in _pairs(rng, b):
-            level.append(k)
-            rows.append(i)
-            cols.append(j)
-    arrays = (np.array(v, dtype=np.int64) for v in (level, rows, cols))
-    return list(zip(gf2._from_level_triplets([bits.shape, other.shape], *arrays), (bits, other)))
+    refs, points, groups = [], [], []
+    for lv, b in enumerate((bits, other)):
+        ref = b.copy()
+        points += [(lv, i, j) for i, j in _pairs(rng, b)]
+        rows, cols = b.shape
+        if rows and cols:
+            step = rng.choice((1, 2))
+            height, length = rng.randint(1, (rows - 1) // step + 1), rng.randint(1, (cols - 1) // step + 1)
+            r, c = rng.randrange(rows - (height - 1) * step), rng.randrange(cols - (length - 1) * step)
+            ref[r : r + height * step : step, c : c + length * step : step] ^= True
+            groups.append(((height, length), (0, step), (step, 0), [(lv, r, c)]))
+        refs.append(ref)
+    rng.shuffle(points)
+    groups.append(((), (), (), points))
+    rng.shuffle(groups)
+    return list(zip(cochain._block_matrices([bits.shape, other.shape], groups), refs))
 
 
 # Each builds (matrix, numpy reference) pairs from a random bool array.
@@ -175,17 +189,22 @@ CONSTRUCTORS = {
         (GF2Matrix.from_triplets(*bits.shape, np.array(_pairs(rng, bits), dtype=np.int64).reshape(-1, 2)), bits)
     ],
     "from_bool_array": lambda rng, bits: [(GF2Matrix.from_bool_array(bits), bits)],
-    "level_triplets": _level_triplets,
+    "block_matrices": _block_levels,
 }
 
 
 def _check_matrix(rng, m, ref):
-    """Rows inside the columns, bits and words as the reference's, and
+    """Rows inside the columns, bits and words as the reference's, each
+    row and column's bits, support and repr as the reference's, and
     compose_is_zero as a naive product says."""
     assert (m.rows, m.cols) == ref.shape and len(m.ints) == m.rows
     assert all(type(x) is int and 0 <= x < 1 << m.cols for x in m.ints)
     assert m.to_rows() == ref.astype(int).tolist()
     assert np.array_equal(m.words, gf2._pack(m.to_bool_array()))
+    for v, bits in [(m.row(i), ref[i]) for i in range(m.rows)] + list(zip(m.columns(), ref.T)):
+        assert v.to_bits() == bits.astype(int).tolist()
+        assert v.support() == np.flatnonzero(bits).tolist()
+        assert repr(v) == f"GF2Vector({''.join(map(str, bits.astype(int)))})"
     basis = m.nullspace_basis()
     kernel = np.array([v.to_bits() for v in basis], dtype=np.int64).reshape(len(basis), m.cols)
     sums = np.array([rng.random() < 0.5 for _ in range(3 * len(basis))], dtype=np.int64).reshape(len(basis), 3)
