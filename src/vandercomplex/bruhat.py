@@ -102,7 +102,9 @@ def build_bruhat(n: int, cap: int = DEFAULT_N_CAP) -> BruhatPoset:
     n is capped (default 6) because the poset has n! elements and the
     downstream complexes grow much faster still.  The cap is checked on
     every call, so a poset built under a larger cap is still refused under
-    the default one.
+    the default one.  The complex, report and chain-map routes call this
+    with the default, so DEFAULT_N_CAP is their n cap; only the summand
+    table, which its callers reach after their own check, passes cap=n.
     """
     if n < 1:
         raise ValidationError(f"group size must be positive, got {n}")

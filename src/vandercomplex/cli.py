@@ -61,13 +61,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="vandercomplex", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, skip_help="dimensions and Euler characteristic only"):
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--budget", type=_integer, default=DEFAULT_DIM_BUDGET,
                        help="cap on the total basis elements of a complex whose "
                             "cohomology or chain maps are computed")
-        p.add_argument("--skip-homology", action="store_true",
-                       help="dimensions and Euler characteristic only")
+        p.add_argument("--skip-homology", action="store_true", help=skip_help)
 
     p = sub.add_parser("torus", help="two-strand torus closure with n crossings")
     p.add_argument("--n", type=_integer, required=True)
@@ -87,7 +86,7 @@ def build_parser() -> _Parser:
     p.add_argument("--file", required=True, help="morphism file")
     p.add_argument("--n", type=_integer, help="use the n-crossing torus closure")
     p.add_argument("--diagram", help="use a diagram file instead of --n")
-    common(p)
+    common(p, "chain map and commutation check only, no induced cohomology maps")
 
     p = sub.add_parser("check", help="run the full property suite")
     p.add_argument("--json", action="store_true", help="machine-readable report")

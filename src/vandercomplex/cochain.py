@@ -43,10 +43,11 @@ from math import prod
 from operator import mul
 from time import perf_counter
 
-from .bruhat import DEFAULT_N_CAP, Perm, build_bruhat, inversions, validate_perm
-from .errors import ConsistencyError, PreconditionError, SizeError, ValidationError, strict_int
+from .bruhat import Perm, build_bruhat, inversions, validate_perm
+from .errors import PreconditionError, SizeError, ValidationError, strict_int
 from .gf2 import GF2Matrix, _check_bytes
-from .linkdiag import DEFAULT_SMOOTHING_CAP, LinkDiagram, is_height_uniform, s_vector
+from .linkdiag import LinkDiagram, is_height_uniform, s_vector
+from .summands import _cohomology
 
 ColorVector = tuple[int, ...]
 
@@ -249,9 +250,7 @@ def check_budget(dims, budget: int) -> None:
         raise SizeError(f"total dimension {total} exceeds the budget {budget}")
 
 
-def _assemble(
-    n: int, digits_for, *, merge_split: bool, budget: int, n_cap: int, **fields
-) -> CochainComplex:
+def _assemble(n: int, digits_for, *, merge_split: bool, budget: int, **fields) -> CochainComplex:
     """The Bruhat-shaped complex of n positions, for link and matrix complexes alike.
 
     digits_for(p) gives, per position, the radix and the number of digits
@@ -259,11 +258,11 @@ def _assemble(
     positions it keeps.  On the two it swaps it is the connected map:
     merge-split, constant a in and constant a out, for link complexes, or
     unit-after-counit, constant a in and digit 0 out, for matrix complexes
-    (merge_split false).  The basis budget and every differential's packed
-    size are checked before any coordinate is built.  fields go to the
-    CochainComplex as they are.
+    (merge_split false).  The poset's n cap (`bruhat.DEFAULT_N_CAP`), the
+    basis budget and every differential's packed size are checked before
+    any coordinate is built.  fields go to the CochainComplex as they are.
     """
-    poset = build_bruhat(n, cap=n_cap)
+    poset = build_bruhat(n)
     places, dims = _block_places(poset.levels, digits_for)
     check_budget(dims, budget)
 
@@ -311,20 +310,18 @@ def _colors_and_s(d: LinkDiagram, x) -> tuple[ColorVector, tuple[int, ...]]:
     return xs, s_vector(d)
 
 
-def build_complex(
-    d: LinkDiagram,
-    x,
-    *,
-    budget: int = DEFAULT_DIM_BUDGET,
-    n_cap: int = DEFAULT_N_CAP,
-) -> CochainComplex:
-    """Assemble the full complex of a diagram and a color vector."""
+def build_complex(d: LinkDiagram, x, *, budget: int = DEFAULT_DIM_BUDGET) -> CochainComplex:
+    """Assemble the full complex of a diagram and a color vector.
+
+    n is capped at `bruhat.DEFAULT_N_CAP` and the total dimension at
+    budget, both checked before any coordinate is built.
+    """
     xs, s = _colors_and_s(d, x)
 
     def digits_for(p: Perm):
         return xs, [s[v - 1] for v in p]
 
-    return _assemble(d.n, digits_for, merge_split=True, budget=budget, n_cap=n_cap, colors=xs, s=s)
+    return _assemble(d.n, digits_for, merge_split=True, budget=budget, colors=xs, s=s)
 
 
 def _color_grid(xs: ColorVector, s) -> list[list[int]]:
@@ -332,11 +329,11 @@ def _color_grid(xs: ColorVector, s) -> list[list[int]]:
     return [[xi**sj for sj in s] for xi in xs]
 
 
-def cochain_dims(d: LinkDiagram, x, *, n_cap: int = DEFAULT_N_CAP) -> list[int]:
+def cochain_dims(d: LinkDiagram, x) -> list[int]:
     """Level dimensions straight from the dimension formula, no matrices."""
     from .gendet import _grid_dims
 
-    return _grid_dims(_color_grid(*_colors_and_s(d, x)), n_cap)
+    return _grid_dims(_color_grid(*_colors_and_s(d, x)))
 
 
 def euler_characteristic(dims) -> int:
@@ -385,25 +382,16 @@ def homology(cx: CochainComplex) -> HomologyReport:
     whole-level differentials.
 
     dim H^k = dim C^k - rank d^k - rank d^(k-1), with the maps off either
-    end treated as zero.  The d² = 0 check composes consecutive
-    differentials row by row, stopping at the first nonzero row, and each
-    rank inserts a differential's row integers by their lowest set bit, so
-    neither builds anything as large as a dense level.  This is the
-    independent check on the summand route of verify_euler and
+    end treated as zero, after the d² = 0 check; a summand's row is filled
+    by the same routine (`summands._cohomology`).  The d² = 0 check composes
+    consecutive differentials row by row, stopping at the first nonzero
+    row, and each rank inserts a differential's row integers by their
+    lowest set bit, so neither builds anything as large as a dense level.
+    This is the independent check on the summand route of verify_euler and
     matrix_report.
     """
     t0 = perf_counter()
-    if not cx.verify_d_squared():
-        raise ConsistencyError(
-            "differentials do not square to zero; complex construction is broken"
-        )
-    ranks = [m.rank() for m in cx.differentials]
-    top = cx.max_rank
-    hom = []
-    for k in range(top + 1):
-        out_rank = ranks[k] if k < top else 0
-        in_rank = ranks[k - 1] if k > 0 else 0
-        hom.append(cx.level_dims[k] - out_rank - in_rank)
+    hom = _cohomology(cx.level_dims, cx.differentials, "built complex")
     return HomologyReport(
         n=cx.n,
         x=cx.colors,
@@ -421,7 +409,6 @@ def verify_euler(
     *,
     skip_homology: bool = False,
     budget: int = DEFAULT_DIM_BUDGET,
-    n_cap: int = DEFAULT_N_CAP,
 ) -> HomologyReport:
     """Compare the Euler characteristic against the exact determinant.
 
@@ -430,23 +417,24 @@ def verify_euler(
     the color-independent summands C(N, j) (see `summands`), each occurring
     prod_{i not in N} x_i * prod_{i in N} (x_i^(s_{j_i}) - x_i) times; the
     summed dimensions must reproduce the counting formula at every level.
-    budget caps the total dimension of a complex whose cohomology is asked
-    for and is checked before any work; it does not apply with
-    skip_homology.
+    n is capped at `bruhat.DEFAULT_N_CAP`.  budget caps the total dimension
+    of a complex whose cohomology is asked for; it does not apply with
+    skip_homology.  Both are checked before any work.
     """
     from .gendet import _grid_report
 
     xs, s = _colors_and_s(d, x)
     grid = _color_grid(xs, s)
     factors = [[xi] + [xi**sj - xi for sj in s] for xi in xs]
-    return _grid_report(grid, factors, skip_homology, budget, n_cap, x=xs, s=s)
+    return _grid_report(grid, factors, skip_homology, budget, x=xs, s=s)
 
 
 @dataclass(frozen=True)
 class OrderIndependenceResult:
     """Outcome of rebuilding under a crossing reordering.
 
-    height_uniform is None when the 2^n smoothing scan was over its cap.
+    height_uniform is None when the 2^n smoothing scan was over its cap
+    (`linkdiag.SMOOTHING_CAP`).
     For diagrams that are not height uniform, equal is a plain comparison
     with no structural guarantee behind it.
     """
@@ -455,22 +443,15 @@ class OrderIndependenceResult:
     height_uniform: bool | None
 
 
-def order_independence_check(
-    d: LinkDiagram,
-    x,
-    reordering,
-    *,
-    budget: int = DEFAULT_DIM_BUDGET,
-    n_cap: int = DEFAULT_N_CAP,
-    smoothing_cap: int = DEFAULT_SMOOTHING_CAP,
-) -> OrderIndependenceResult:
-    """Rebuild with reordered crossings and compare complexes bit for bit."""
+def order_independence_check(d: LinkDiagram, x, reordering) -> OrderIndependenceResult:
+    """Rebuild with reordered crossings and compare complexes bit for bit,
+    each build under build_complex's default budget."""
     try:
-        uniform, _ = is_height_uniform(d, cap=smoothing_cap)
+        uniform, _ = is_height_uniform(d)
     except SizeError:
         uniform = None
-    base = build_complex(d, x, budget=budget, n_cap=n_cap)
-    other = build_complex(d.reordered(reordering), x, budget=budget, n_cap=n_cap)
+    base = build_complex(d, x)
+    other = build_complex(d.reordered(reordering), x)
     equal = base.level_dims == other.level_dims and all(
         a == b for a, b in zip(base.differentials, other.differentials)
     )

@@ -27,7 +27,7 @@ from itertools import permutations
 from math import prod
 from time import perf_counter
 
-from .bruhat import DEFAULT_N_CAP, Perm, build_bruhat, inversions
+from .bruhat import Perm, build_bruhat, inversions
 from .cochain import (
     DEFAULT_DIM_BUDGET,
     CochainComplex,
@@ -38,6 +38,8 @@ from .cochain import (
 )
 from .errors import FormatError, PreconditionError, SizeError, ValidationError, strict_int
 from .summands import homology_dims
+
+EXPANSION_CAP = 12  # the largest n whose n! terms det_permutation_expansion sums
 
 
 @dataclass(frozen=True)
@@ -94,12 +96,13 @@ def det_exact(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_permutation_expansion(m, cap: int = 12) -> int:
-    """Signed sum over all permutations; exponential, for cross-checks."""
+def det_permutation_expansion(m) -> int:
+    """Signed sum over all permutations; exponential, for cross-checks,
+    and refused past EXPANSION_CAP rows."""
     a = _int_rows(m)
     n = len(a)
-    if n > cap:
-        raise SizeError(f"permutation expansion over {n}! terms exceeds the cap {cap}")
+    if n > EXPANSION_CAP:
+        raise SizeError(f"permutation expansion over {n}! terms exceeds the cap {EXPANSION_CAP}")
     total = 0
     for p in permutations(range(n)):
         term = prod(a[i][p[i]] for i in range(n))
@@ -130,27 +133,26 @@ def parse_matrix(text: str) -> PosIntMatrix:
     return PosIntMatrix(tuple(tuple(rows_i) for rows_i in rows))
 
 
-def _grid_dims(rows, n_cap: int) -> list[int]:
+def _grid_dims(rows) -> list[int]:
     """Level dimensions of the complex of a grid: sum over p of prod_i rows[i][p(i)-1]."""
     n = len(rows)
-    poset = build_bruhat(n, cap=n_cap)
+    poset = build_bruhat(n)
     return [
         sum(prod(rows[i][p[i] - 1] for i in range(n)) for p in level)
         for level in poset.levels
     ]
 
 
-def _grid_report(
-    grid, factors, skip_homology: bool, budget: int, n_cap: int, x=None, s=None
-) -> HomologyReport:
+def _grid_report(grid, factors, skip_homology: bool, budget: int, x=None, s=None) -> HomologyReport:
     """The report body shared by verify_euler and matrix_report.
 
     Dimensions and determinant are those of the grid; the cohomology, unless
     skipped, is summed over the summands C(N, j) with the given multiplicity
-    factors (see `summands.homology_dims`) once the budget is checked.
+    factors (see `summands.homology_dims`) once the budget is checked.  n is
+    capped at `bruhat.DEFAULT_N_CAP`.
     """
     t0 = perf_counter()
-    dims = _grid_dims(grid, n_cap)
+    dims = _grid_dims(grid)
     hom = None
     if not skip_homology:
         check_budget(dims, budget)
@@ -170,23 +172,23 @@ def _grid_report(
     )
 
 
-def build_matrix_complex(
-    m: PosIntMatrix,
-    *,
-    budget: int = DEFAULT_DIM_BUDGET,
-    n_cap: int = DEFAULT_N_CAP,
-) -> CochainComplex:
-    """Bruhat-shaped complex whose Euler characteristic is det(m)."""
+def build_matrix_complex(m: PosIntMatrix) -> CochainComplex:
+    """Bruhat-shaped complex whose Euler characteristic is det(m).
+
+    n is capped at `bruhat.DEFAULT_N_CAP` and the total dimension at
+    `cochain.DEFAULT_DIM_BUDGET`, both checked before any coordinate is
+    built.
+    """
 
     def digits_for(p: Perm):
         return [row[v - 1] for row, v in zip(m.entries, p)], [1] * m.n
 
-    return _assemble(m.n, digits_for, merge_split=False, budget=budget, n_cap=n_cap)
+    return _assemble(m.n, digits_for, merge_split=False, budget=DEFAULT_DIM_BUDGET)
 
 
-def matrix_dims(m: PosIntMatrix, *, n_cap: int = DEFAULT_N_CAP) -> list[int]:
+def matrix_dims(m: PosIntMatrix) -> list[int]:
     """Level dimensions of the matrix complex from the counting formula."""
-    return _grid_dims(m.entries, n_cap)
+    return _grid_dims(m.entries)
 
 
 def matrix_report(
@@ -194,17 +196,17 @@ def matrix_report(
     *,
     skip_homology: bool = False,
     budget: int = DEFAULT_DIM_BUDGET,
-    n_cap: int = DEFAULT_N_CAP,
 ) -> HomologyReport:
     """Compare the matrix complex's Euler characteristic to det(m).
 
     As in verify_euler, the dimensions come from the counting formula and
     the cohomology, unless skip_homology is set, from the summands C(N, j),
-    each occurring prod_{i in N} (m[i][j_i] - 1) times; budget is checked on
-    the total dimension first.
+    each occurring prod_{i in N} (m[i][j_i] - 1) times; n is capped at
+    `bruhat.DEFAULT_N_CAP`, and budget is checked on the total dimension
+    first.
     """
     factors = [[1] + [v - 1 for v in row] for row in m.entries]
-    return _grid_report(m.entries, factors, skip_homology, budget, n_cap)
+    return _grid_report(m.entries, factors, skip_homology, budget)
 
 
 def random_matrix(n: int, max_entry: int, rng) -> PosIntMatrix:

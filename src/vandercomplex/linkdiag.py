@@ -22,7 +22,7 @@ from .errors import (
     strict_int,
 )
 
-DEFAULT_SMOOTHING_CAP = 20
+SMOOTHING_CAP = 20  # the most crossings whose 2^n smoothings is_height_uniform scans
 
 Pairing = tuple[tuple[int, int], tuple[int, int]]
 
@@ -245,17 +245,15 @@ def s_vector(d: LinkDiagram) -> tuple[int, ...]:
     )
 
 
-def is_height_uniform(
-    d: LinkDiagram, cap: int = DEFAULT_SMOOTHING_CAP
-) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+def is_height_uniform(d: LinkDiagram) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """Whether the smoothing height alone determines the circle count.
 
-    Scans all 2^n smoothings (capped).  Returns (True, None) or (False,
-    witness) where the witness is two same-height smoothings with
-    different circle counts.
+    Scans all 2^n smoothings, refused past SMOOTHING_CAP crossings.
+    Returns (True, None) or (False, witness) where the witness is two
+    same-height smoothings with different circle counts.
     """
-    if d.n > cap:
-        raise SizeError(f"{d.n} crossings means 2^{d.n} smoothings, over the cap {cap}")
+    if d.n > SMOOTHING_CAP:
+        raise SizeError(f"{d.n} crossings means 2^{d.n} smoothings, over the cap {SMOOTHING_CAP}")
     seen: dict[int, tuple[tuple[int, ...], int]] = {}
     for bits in product((0, 1), repeat=d.n):
         h = sum(bits)

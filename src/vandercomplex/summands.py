@@ -98,34 +98,38 @@ class SummandTable:
 
     def fill(self, code: Code) -> Row:
         """Compute a row: its levels, d^2 = 0, and the rank of each differential."""
-        top = self.poset.max_rank
-        levels: list[list[Perm]] = [[] for _ in range(top + 1)]
+        levels: list[list[Perm]] = [[] for _ in self.poset.levels]
         for p in self.members(code):
             levels[self.level_of[p]].append(p)
         position = {p: t for level in levels for t, p in enumerate(level)}
         dims = [len(level) for level in levels]
+        # the levels lo .. hi - 1 hold every member; H is zero outside them
+        held = [k for k, dim in enumerate(dims) if dim]
+        lo, hi = held[0], held[-1] + 1
         up = self.poset.up_covers
-        ranks = [0] * (top + 1)
-        below = None  # the differential into level k, when both ends are nonempty
-        for k in range(top):
-            if not (dims[k] and dims[k + 1]):
-                below = None
-                continue
-            coords = [
-                (position[q], t)
-                for t, p in enumerate(levels[k])
-                for q in up[p]
-                if q in position
-            ]
-            d = GF2Matrix.from_triplets(dims[k + 1], dims[k], coords)
-            if below is not None and not d.compose_is_zero(below):
-                raise ConsistencyError(
-                    f"summand {list(code)}: differentials do not square to zero"
-                )
-            ranks[k] = d.rank()
-            below = d
-        hom = [dims[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 1)]
-        return tuple(dims), tuple(hom)
+        differentials = [
+            GF2Matrix.from_triplets(
+                dims[k + 1],
+                dims[k],
+                [(position[q], t) for t, p in enumerate(levels[k]) for q in up[p] if q in position],
+            )
+            for k in range(lo, hi - 1)
+        ]
+        hom = _cohomology(dims[lo:hi], differentials, f"summand {list(code)}")
+        return tuple(dims), (0,) * lo + tuple(hom) + (0,) * (len(dims) - hi)
+
+
+def _cohomology(dims, differentials, where: str) -> list[int]:
+    """dim H^k = dim C^k - rank d^k - rank d^(k-1) of the complex with level
+    dimensions dims and differentials d^k from level k to level k + 1, the
+    maps off either end being zero.  Consecutive differentials are first
+    checked to compose to zero; where names the complex if they do not.
+    """
+    for k in range(len(differentials) - 1):
+        if not differentials[k + 1].compose_is_zero(differentials[k]):
+            raise ConsistencyError(f"{where}: differentials do not square to zero")
+    ranks = [0, *(d.rank() for d in differentials), 0]  # ranks[k] is rank d^(k-1)
+    return [dim - ranks[k] - ranks[k + 1] for k, dim in enumerate(dims)]
 
 
 _TABLES: dict[int, SummandTable] = {}

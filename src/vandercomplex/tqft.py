@@ -18,8 +18,8 @@ from math import prod
 from .errors import SizeError, ValidationError
 from .gf2 import GF2Matrix
 
-DEFAULT_FROBENIUS_CAP = 8
-DEFAULT_TENSOR_BUDGET = 1 << 28  # entries of an assembled Kronecker product
+FROBENIUS_CAP = 8  # the largest algebra dimension frobenius_check takes
+TENSOR_BUDGET = 1 << 28  # entries of an assembled Kronecker product
 
 
 @dataclass(frozen=True)
@@ -84,14 +84,15 @@ def swap_map(d: int) -> GF2Matrix:
     )
 
 
-def frobenius_check(spec: AlgebraSpec, cap: int = DEFAULT_FROBENIUS_CAP) -> bool:
+def frobenius_check(spec: AlgebraSpec) -> bool:
     """Verify the algebra axioms as matrix identities.
 
     Checks associativity, unit, coassociativity, counit, the Frobenius
     relation, commutativity, and that merge after split is the identity.
+    Refused past FROBENIUS_CAP.
     """
-    if spec.dim > cap:
-        raise SizeError(f"dimension {spec.dim} over the cap {cap}: matrices scale as dim^3")
+    if spec.dim > FROBENIUS_CAP:
+        raise SizeError(f"dimension {spec.dim} over the cap {FROBENIUS_CAP}: matrices scale as dim^3")
     d = spec.dim
     mul, unit, comul, counit = structure_maps(spec)
     one = GF2Matrix.identity(d)
@@ -112,19 +113,20 @@ def frobenius_check(spec: AlgebraSpec, cap: int = DEFAULT_FROBENIUS_CAP) -> bool
     return all(checks)
 
 
-def tensor_assemble(factors, budget: int = DEFAULT_TENSOR_BUDGET) -> GF2Matrix:
+def tensor_assemble(factors) -> GF2Matrix:
     """Kronecker product of the factors in list order.
 
     Index convention is mixed-radix with the leftmost factor most
-    significant.  An empty list gives the 1x1 identity.
+    significant.  An empty list gives the 1x1 identity.  A product of more
+    than TENSOR_BUDGET entries is refused before it is built.
     """
     factors = list(factors)
     rows = prod(f.rows for f in factors)
     cols = prod(f.cols for f in factors)
-    if rows * cols > budget:
+    if rows * cols > TENSOR_BUDGET:
         dims = " x ".join(f"{f.rows}x{f.cols}" for f in factors) or "(empty)"
         raise SizeError(
-            f"assembled size {rows}x{cols} exceeds the budget {budget}: {dims}"
+            f"assembled size {rows}x{cols} exceeds the budget {TENSOR_BUDGET}: {dims}"
         )
     coords = [(0, 0)]
     for f in factors:

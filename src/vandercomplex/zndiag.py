@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .bruhat import DEFAULT_N_CAP
 from .cochain import (
     DEFAULT_DIM_BUDGET,
     CochainComplex,
@@ -202,21 +201,21 @@ def chain_map(
     source_complex: CochainComplex | None = None,
     target_complex: CochainComplex | None = None,
     budget: int = DEFAULT_DIM_BUDGET,
-    n_cap: int = DEFAULT_N_CAP,
 ) -> ChainMap:
     """Assemble the per-level matrices induced by a strip diagram.
 
     An endomorphism without a prebuilt target maps the source complex to
-    itself.
+    itself.  A complex that is not prebuilt is built under budget (see
+    build_complex; n is capped at `bruhat.DEFAULT_N_CAP`).
     """
     if m.n != d.n:
         raise PreconditionError(
             f"morphism is between vectors of length {m.n}, diagram has {d.n} crossings"
         )
-    cx = source_complex or build_complex(d, m.source, budget=budget, n_cap=n_cap)
+    cx = source_complex or build_complex(d, m.source, budget=budget)
     if target_complex is None and m.target == m.source:
         target_complex = cx
-    cy = target_complex or build_complex(d, m.target, budget=budget, n_cap=n_cap)
+    cy = target_complex or build_complex(d, m.target, budget=budget)
     if cx.colors != m.source or cy.colors != m.target:
         raise PreconditionError("prebuilt complexes do not match the morphism ends")
     if cx.s != cy.s:
@@ -327,15 +326,10 @@ def induced_map_from(
     return out
 
 
-def induced_cohomology_map(
-    d: LinkDiagram,
-    m: ZndiagMorphism,
-    *,
-    budget: int = DEFAULT_DIM_BUDGET,
-    n_cap: int = DEFAULT_N_CAP,
-) -> list[GF2Matrix]:
-    """Chain map, commutation check, then the induced maps on cohomology."""
-    cm = chain_map(d, m, budget=budget, n_cap=n_cap)
+def induced_cohomology_map(d: LinkDiagram, m: ZndiagMorphism) -> list[GF2Matrix]:
+    """Chain map under the default budget, commutation check, then the
+    induced maps on cohomology."""
+    cm = chain_map(d, m)
     if not cm.commutes():
         raise ConsistencyError("chain map does not commute with the differentials")
     return induced_map_from(cm)

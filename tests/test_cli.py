@@ -170,6 +170,20 @@ def test_budget_error_exits_1(capsys):
     assert code == 1 and "budget" in err
 
 
+def test_internal_error_exits_2(capsys, monkeypatch):
+    # a corrupted summand row raises ConsistencyError, which is neither an
+    # input error nor a size refusal
+    from vandercomplex.summands import summand_table
+
+    assert run(capsys, "torus", "--n", "2", "--x", "1,2")[0] == 0
+    table = summand_table(2)
+    dims, hom = table.rows[table.ids[0]]
+    monkeypatch.setitem(table.rows, table.ids[0], ((dims[0] + 1, *dims[1:]), hom))
+    code, out, err = run(capsys, "torus", "--n", "2", "--x", "1,2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: summand dimensions") and len(err.splitlines()) == 1
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["torus", "--x", "1,2"])  # missing --n

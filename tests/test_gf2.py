@@ -307,6 +307,21 @@ def test_from_triplets_duplicates_cancel():
         GF2Matrix.from_triplets(2, 2, [(2, 0)])
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        pytest.param([(-1, 0)], id="negative-row"),  # Python would index row 1
+        pytest.param([(0, 2)], id="column-past-the-end"),  # a bit at or past cols
+        pytest.param([(0, 5), (0, 5)], id="cancelling-pair-past-the-end"),
+    ],
+)
+@pytest.mark.parametrize("as_array", [False, True], ids=["pairs", "array"])
+def test_from_triplets_refuses_out_of_range(pairs, as_array):
+    coords = np.array(pairs, dtype=np.int64) if as_array else pairs
+    with pytest.raises(ValidationError, match="^triplet coordinate out of range$"):
+        GF2Matrix.from_triplets(2, 2, coords)
+
+
 def test_submatrix_and_bool_round_trip():
     rng = random.Random(5)
     m = random_matrix(rng, 9, 70)

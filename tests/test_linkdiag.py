@@ -178,7 +178,7 @@ def test_height_uniformity_witness():
 
 def test_height_uniformity_cap():
     with pytest.raises(SizeError):
-        is_height_uniform(torus_two_n(8), cap=6)
+        is_height_uniform(torus_two_n(21))
 
 
 def test_circles_enumeration():

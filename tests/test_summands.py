@@ -19,6 +19,7 @@ from vandercomplex import (
     verify_euler,
 )
 from vandercomplex.gendet import matrix_dims, random_matrix
+from vandercomplex.gf2 import GF2Matrix
 from vandercomplex import summands
 from vandercomplex.summands import summand_table
 
@@ -108,6 +109,13 @@ def test_corrupted_summand_homology_is_caught(monkeypatch):
     monkeypatch.setitem(table.rows, free, (dims, tuple(corrupted)))
     with pytest.raises(ConsistencyError, match="does not fit"):
         matrix_report(m)
+
+
+def test_summand_fill_checks_d_squared(monkeypatch):
+    monkeypatch.setattr(summands, "_TABLES", {})
+    monkeypatch.setattr(GF2Matrix, "compose_is_zero", lambda self, other: False)
+    with pytest.raises(ConsistencyError, match=r"^summand \[.*\]: differentials do not square to zero$"):
+        verify_euler(torus_two_n(3), (2, 2, 2))
 
 
 def test_sums_past_64_bits_are_exact():

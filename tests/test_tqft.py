@@ -74,7 +74,6 @@ def test_frobenius_check_dims_1_to_8():
 def test_frobenius_cap():
     with pytest.raises(SizeError):
         frobenius_check(AlgebraSpec(9))
-    assert frobenius_check(AlgebraSpec(9), cap=9)
 
 
 def test_algebra_spec_validation():
@@ -151,4 +150,4 @@ def test_tensor_assemble_associative_with_unit():
 def test_tensor_assemble_budget():
     big = GF2Matrix.identity(64)
     with pytest.raises(SizeError, match="64x64"):
-        tensor_assemble([big, big, big], budget=10_000)
+        tensor_assemble([big] * 5)

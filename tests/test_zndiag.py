@@ -240,6 +240,16 @@ def test_induced_rejects_broken_map():
         induced_map_from(mangled)
 
 
+def test_induced_cohomology_map_refuses_a_map_that_does_not_commute(monkeypatch):
+    d = torus_two_n(2)
+    cm = chain_map(d, identity_morphism((1, 2)))
+    bad_block = GF2Matrix.from_triplets(4, 4, [(0, j) for j in range(4)])
+    mangled = type(cm)(cm.morphism, cm.source, cm.target, (bad_block, cm.blocks[1]))
+    monkeypatch.setattr(zndiag, "chain_map", lambda *args, **kwargs: mangled)
+    with pytest.raises(ConsistencyError, match="^chain map does not commute with the differentials$"):
+        induced_cohomology_map(d, identity_morphism((1, 2)))
+
+
 def nullspace_quotients(cx):
     """The quotients from each level's kernel basis and the previous
     differential's columns, each reduced separately."""
