@@ -105,11 +105,13 @@ def build_bruhat(n: int, cap: int = DEFAULT_N_CAP) -> BruhatPoset:
     the default one.  The complex, report and chain-map routes call this
     with the default, so DEFAULT_N_CAP is their n cap; only the summand
     table, which its callers reach after their own check, passes cap=n.
+    The refusal names the cap and nothing more, since those routes pass it
+    on to callers who cannot raise it.
     """
     if n < 1:
         raise ValidationError(f"group size must be positive, got {n}")
     if n > cap:
-        raise SizeError(f"n={n} exceeds the poset cap {cap}; pass a larger cap explicitly")
+        raise SizeError(f"n={n} exceeds the poset cap {cap}")
     poset = _POSETS.get(n)
     if poset is None:
         poset = _POSETS[n] = _generate(n)

@@ -7,6 +7,12 @@ joining arc ends, and circles are the connected components of the joined
 arcs.  A diagram is closed when every identifier is used exactly twice
 across all crossings; crossingless circle components are carried in a
 separate free_loops count.
+
+Every circle count goes through one routine: a call indexes the arc ends
+0..m-1 once, stores each crossing's two pairings as index pairs, and
+counts the circles of each smoothing it needs with a union-find over a
+flat parent list.  Only the public entry points that take a caller's
+smoothing validate it.
 """
 
 import json
@@ -182,7 +188,7 @@ def format_diagram(d: LinkDiagram) -> str:
 
 
 def _validate_smoothing(d: LinkDiagram, smoothing) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in smoothing)
+    bits = tuple(strict_int(b, "smoothing entry") for b in smoothing)
     if len(bits) != d.n:
         raise PreconditionError(
             f"smoothing length {len(bits)} does not match crossing count {d.n}"
@@ -192,33 +198,46 @@ def _validate_smoothing(d: LinkDiagram, smoothing) -> tuple[int, ...]:
     return bits
 
 
-def _resolved_classes(d: LinkDiagram, bits) -> dict[int, int]:
-    """Union-find roots of the arc ids under the selected pairings."""
-    parent: dict[int, int] = {e: e for e in d.arc_ids()}
+def _indexed(d: LinkDiagram) -> tuple[list[int], list[tuple]]:
+    """The arc ids in order of first use, and per crossing its zero and one
+    pairings as pairs of positions in that list."""
+    index: dict[int, int] = {}
+    for c in d.crossings:
+        for e in c.ends:
+            index.setdefault(e, len(index))
+    pairings = [
+        tuple(tuple((index[a], index[b]) for a, b in p) for p in (c.zero, c.one))
+        for c in d.crossings
+    ]
+    return list(index), pairings
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for crossing, bit in zip(d.crossings, bits):
-        for a, b in crossing.pairing(bit):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return {e: find(e) for e in parent}
+def _resolve(m: int, pairings, bits, free_loops: int) -> tuple[int, list[int]]:
+    """Circles of a smoothing of m indexed arc ends, plus free_loops, and the
+    union-find parent list (path halving) that found them."""
+    parent = list(range(m))
+    count = m + free_loops
+    for crossing, bit in zip(pairings, bits):
+        for a, b in crossing[bit]:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                count -= 1
+    return count, parent
 
 
 def circle_count(d: LinkDiagram, smoothing) -> int:
     """Circles of the resolved diagram (plus free loops).
 
-    Union-find over arc-end identifiers, joining the two ends of each pair
+    Union-find over the indexed arc ends, joining the two ends of each pair
     selected by the smoothing.
     """
     bits = _validate_smoothing(d, smoothing)
-    roots = _resolved_classes(d, bits)
-    return len(set(roots.values())) + d.free_loops
+    ids, pairings = _indexed(d)
+    return _resolve(len(ids), pairings, bits, d.free_loops)[0]
 
 
 def circles(d: LinkDiagram, smoothing) -> list[tuple[int, ...]]:
@@ -229,10 +248,13 @@ def circles(d: LinkDiagram, smoothing) -> list[tuple[int, ...]]:
     the count.
     """
     bits = _validate_smoothing(d, smoothing)
-    roots = _resolved_classes(d, bits)
+    ids, pairings = _indexed(d)
+    _, parent = _resolve(len(ids), pairings, bits, 0)
     groups: dict[int, list[int]] = {}
-    for e, r in roots.items():
-        groups.setdefault(r, []).append(e)
+    for i, e in enumerate(ids):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        groups.setdefault(i, []).append(e)
     return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
 
 
@@ -240,8 +262,10 @@ def s_vector(d: LinkDiagram) -> tuple[int, ...]:
     """Circle counts s_1..s_n where s_k 1-smooths the first k crossings."""
     if d.n < 1:
         raise PreconditionError("s_vector needs at least one crossing")
+    ids, pairings = _indexed(d)
+    m, n, loops = len(ids), d.n, d.free_loops
     return tuple(
-        circle_count(d, (1,) * k + (0,) * (d.n - k)) for k in range(1, d.n + 1)
+        _resolve(m, pairings, (1,) * k + (0,) * (n - k), loops)[0] for k in range(1, n + 1)
     )
 
 
@@ -254,10 +278,12 @@ def is_height_uniform(d: LinkDiagram) -> tuple[bool, tuple[tuple[int, ...], tupl
     """
     if d.n > SMOOTHING_CAP:
         raise SizeError(f"{d.n} crossings means 2^{d.n} smoothings, over the cap {SMOOTHING_CAP}")
+    ids, pairings = _indexed(d)
+    m = len(ids)
     seen: dict[int, tuple[tuple[int, ...], int]] = {}
     for bits in product((0, 1), repeat=d.n):
         h = sum(bits)
-        c = circle_count(d, bits)
+        c = _resolve(m, pairings, bits, d.free_loops)[0]
         if h in seen:
             first, count = seen[h]
             if count != c:

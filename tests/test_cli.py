@@ -170,6 +170,16 @@ def test_budget_error_exits_1(capsys):
     assert code == 1 and "budget" in err
 
 
+@pytest.mark.parametrize("skip", [(), ("--skip-homology",)])
+def test_n_over_the_cap_exits_1(capsys, tmp_path, skip):
+    path = tmp_path / "ones7.json"
+    path.write_text(json.dumps({"matrix": [[1] * 7] * 7}))
+    for argv in (["torus", "--n", "7", "--x", "1,2,3,4,5,6,7"], ["matrix", "--file", str(path)]):
+        code, out, err = run(capsys, *argv, *skip)
+        assert code == 1 and out == ""
+        assert err == "error: n=7 exceeds the poset cap 6\n"
+
+
 def test_internal_error_exits_2(capsys, monkeypatch):
     # a corrupted summand row raises ConsistencyError, which is neither an
     # input error nor a size refusal

@@ -25,8 +25,9 @@ from vandercomplex import (
 )
 
 
-def walk_circles(d, smoothing):
-    """Reference circle count: component traversal instead of union-find."""
+def walk_groups(d, smoothing):
+    """Reference circles: component traversal instead of union-find, each
+    circle as its sorted arc ids, ordered by smallest member."""
     adjacency = defaultdict(list)
     ids = set()
     for crossing, bit in zip(d.crossings, smoothing):
@@ -35,19 +36,47 @@ def walk_circles(d, smoothing):
             adjacency[a].append(b)
             adjacency[b].append(a)
     seen = set()
-    components = 0
+    groups = []
     for v in sorted(ids):
         if v in seen:
             continue
-        components += 1
+        group = []
         stack = [v]
         while stack:
             u = stack.pop()
             if u in seen:
                 continue
             seen.add(u)
+            group.append(u)
             stack.extend(adjacency[u])
-    return components + d.free_loops
+        groups.append(tuple(sorted(group)))
+    return groups
+
+
+def walk_circles(d, smoothing):
+    """Reference circle count: walked circles plus free loops."""
+    return len(walk_groups(d, smoothing)) + d.free_loops
+
+
+def walk_height_uniform(d):
+    """Reference height-uniformity scan over walked circle counts."""
+    seen = {}
+    for bits in product((0, 1), repeat=d.n):
+        count = walk_circles(d, bits)
+        first = seen.setdefault(sum(bits), (bits, count))
+        if first[1] != count:
+            return False, (first[0], bits)
+    return True, None
+
+
+def oracle_corpus():
+    """Seeded random diagrams for n = 1..7, most with free loops, plus
+    disjoint unions of torus closures, which are not height uniform."""
+    rng = random.Random(15)
+    corpus = [random_diagram(n, rng, rng.randint(0, 3)) for n in range(1, 8) for _ in range(4)]
+    corpus.append(disjoint_union(torus_two_n(1), torus_two_n(2)))
+    corpus.append(disjoint_union(torus_two_n(2), LinkDiagram(torus_two_n(3).crossings, 2)))
+    return corpus
 
 
 def relabeled(d, mapping):
@@ -118,6 +147,23 @@ def test_circle_count_length_mismatch():
         circle_count(torus_two_n(3), (1, 0))
 
 
+@pytest.mark.parametrize("smoothing", [(1.9, 0, 0), (True, False, False), ("1", "0", "0")])
+def test_smoothing_entries_are_strict_integers(smoothing):
+    d = torus_two_n(3)
+    with pytest.raises(ValidationError, match="smoothing entry must be an integer"):
+        circle_count(d, smoothing)
+    with pytest.raises(ValidationError, match="smoothing entry must be an integer"):
+        circles(d, smoothing)
+
+
+def test_smoothing_entries_outside_0_1_are_refused():
+    with pytest.raises(ValidationError, match="0 or 1"):
+        circle_count(torus_two_n(3), (2, 0, 0))
+    with pytest.raises(ValidationError, match="0 or 1"):
+        circles(torus_two_n(3), (1, -1, 0))
+    assert circle_count(torus_two_n(3), (1.0, 0.0, 0)) == 1
+
+
 def test_circle_count_against_walker_oracle():
     rng = random.Random(11)
     corpus = [torus_two_n(n) for n in range(1, 6)]
@@ -143,6 +189,14 @@ def test_s_vector_examples():
     assert s_vector(torus_two_n(1)) == (1,)
     assert s_vector(torus_two_n(2)) == (1, 2)
     assert s_vector(torus_two_n(5)) == (1, 2, 3, 4, 5)
+
+
+def test_s_vector_against_walker_oracle():
+    corpus = oracle_corpus() + [torus_two_n(n) for n in range(1, 9)]
+    assert any(d.free_loops for d in corpus)
+    for d in corpus:
+        expected = tuple(walk_circles(d, (1,) * k + (0,) * (d.n - k)) for k in range(1, d.n + 1))
+        assert s_vector(d) == expected, d
 
 
 def test_s_vector_relabel_invariant():
@@ -176,6 +230,20 @@ def test_height_uniformity_witness():
     assert circle_count(du, (0, 1, 1)) == 4
 
 
+def test_height_uniformity_against_walker_scan():
+    corpus = [d for d in oracle_corpus() if d.n <= 6] + [torus_two_n(n) for n in range(1, 7)]
+    verdicts = set()
+    for d in corpus:
+        uniform, witness = is_height_uniform(d)
+        assert (uniform, witness) == walk_height_uniform(d), d
+        verdicts.add(uniform)
+        if witness is not None:
+            a, b = witness
+            assert sum(a) == sum(b)
+            assert walk_circles(d, a) != walk_circles(d, b)
+    assert verdicts == {True, False}
+
+
 def test_height_uniformity_cap():
     with pytest.raises(SizeError):
         is_height_uniform(torus_two_n(21))
@@ -194,6 +262,13 @@ def test_circles_enumeration():
             assert len(groups) + dd.free_loops == circle_count(dd, bits)
             assert groups == sorted(groups, key=lambda g: g[0])
             assert sorted(e for g in groups for e in g) == dd.arc_ids()
+
+
+def test_circles_against_walker_oracle():
+    corpus = oracle_corpus() + [torus_two_n(n) for n in range(1, 9)]
+    for d in corpus:
+        for bits in product((0, 1), repeat=d.n):
+            assert circles(d, bits) == walk_groups(d, bits), (d, bits)
 
 
 def test_free_loops_add_to_counts():
