@@ -200,7 +200,7 @@ def _block_matrices(shapes, groups) -> list[GF2Matrix]:
     block (level, r0, c0) sets, in matrix `level`, the bit at row
     r0 + sum_f j_f mo[f] and column c0 + sum_f j_f mi[f] for every choice
     0 <= j_f < k[f].  Every k is at least 1, and a factor with more than
-    one choice has nonnegative steps, not both 0.  Every matrix's packed
+    one choice has nonnegative steps, not both 0.  Every matrix's dense
     size is checked against the byte ceiling first, and each block's first
     and last positions against its own matrix before it expands.  Each
     group's blocks then expand together, factor by factor, into positions
@@ -259,7 +259,7 @@ def _assemble(n: int, digits_for, *, merge_split: bool, budget: int, **fields) -
     merge-split, constant a in and constant a out, for link complexes, or
     unit-after-counit, constant a in and digit 0 out, for matrix complexes
     (merge_split false).  The poset's n cap (`bruhat.DEFAULT_N_CAP`), the
-    basis budget and every differential's packed size are checked before
+    basis budget and every differential's dense size are checked before
     any coordinate is built.  fields go to the CochainComplex as they are.
     """
     poset = build_bruhat(n)

@@ -7,8 +7,8 @@ file with exit 0, 1 or 2 and at most one line on stderr, never a
 traceback.  Every way of building a GF2Matrix, block assembly included,
 and every product, transpose and submatrix, must keep each row inside its
 columns and agree with a numpy reference, through both the array and the
-bit accessors.  Examples are derandomized so the suite is
-repeatable.
+bit accessors, and its kernel basis must lie in its kernel.  Examples are
+derandomized so the suite is repeatable.
 """
 
 import contextlib
@@ -176,43 +176,52 @@ def _block_levels(rng, bits):
     return list(zip(cochain._block_matrices([bits.shape, other.shape], groups), refs))
 
 
+def _from_bits(bits) -> GF2Matrix:
+    """A matrix with the set bits of a bool array, through from_triplets."""
+    return GF2Matrix.from_triplets(*bits.shape, [(int(i), int(j)) for i, j in np.argwhere(bits)])
+
+
+def _pack(bits) -> np.ndarray:
+    """A (rows, cols) bool array packed into (rows, words) uint64, bit j of
+    row i at bit j % 64 of word j // 64."""
+    rows, cols = bits.shape
+    out = np.zeros((rows, (cols + 63) // 64 * 8), dtype=np.uint8)
+    out[:, : (cols + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view(np.uint64)
+
+
 # Each builds (matrix, numpy reference) pairs from a random bool array.
 CONSTRUCTORS = {
-    "zeros": lambda rng, bits: [(GF2Matrix.zeros(*bits.shape), np.zeros_like(bits))],
+    "zeros": lambda rng, bits: [(GF2Matrix(*bits.shape), np.zeros_like(bits))],
     "identity": lambda rng, bits: [(GF2Matrix.identity(len(bits)), np.eye(len(bits), dtype=bool))],
+    # the constructor, given each row's int
     "from_rows": lambda rng, bits: [
-        # entries other than 0 and 1 read mod 2; no rows give a 0x0 matrix
-        (GF2Matrix.from_rows(np.where(bits, 3, -2).tolist()), bits if len(bits) else bits[:, :0])
+        (GF2Matrix(*bits.shape, [sum(1 << int(j) for j in np.flatnonzero(row)) for row in bits]), bits)
     ],
     "from_triplets": lambda rng, bits: [(GF2Matrix.from_triplets(*bits.shape, _pairs(rng, bits)), bits)],
-    "from_triplets_array": lambda rng, bits: [
-        (GF2Matrix.from_triplets(*bits.shape, np.array(_pairs(rng, bits), dtype=np.int64).reshape(-1, 2)), bits)
-    ],
-    "from_bool_array": lambda rng, bits: [(GF2Matrix.from_bool_array(bits), bits)],
     "block_matrices": _block_levels,
 }
 
 
 def _check_matrix(rng, m, ref):
-    """Rows inside the columns, bits and words as the reference's, each
-    row and column's bits, support and repr as the reference's, and
-    compose_is_zero as a naive product says."""
+    """Rows inside the columns, bits, words and bool array as the
+    reference's, the kernel basis of `reduce_columns` inside the kernel,
+    and compose_is_zero as a naive product says."""
     assert (m.rows, m.cols) == ref.shape and len(m.ints) == m.rows
     assert all(type(x) is int and 0 <= x < 1 << m.cols for x in m.ints)
     assert m.to_rows() == ref.astype(int).tolist()
-    assert np.array_equal(m.words, gf2._pack(m.to_bool_array()))
-    for v, bits in [(m.row(i), ref[i]) for i in range(m.rows)] + list(zip(m.columns(), ref.T)):
-        assert v.to_bits() == bits.astype(int).tolist()
-        assert v.support() == np.flatnonzero(bits).tolist()
-        assert repr(v) == f"GF2Vector({''.join(map(str, bits.astype(int)))})"
-    basis = m.nullspace_basis()
-    kernel = np.array([v.to_bits() for v in basis], dtype=np.int64).reshape(len(basis), m.cols)
+    assert np.array_equal(m.to_bool_array(), ref)
+    assert np.array_equal(m.words, _pack(ref))
+    basis = gf2.reduce_columns(m)[0]
+    kernel = np.array([[(v >> j) & 1 for j in range(m.cols)] for v in basis], dtype=np.int64)
+    kernel = kernel.reshape(len(basis), m.cols)
+    assert not ((ref.astype(np.int64) @ kernel.T) % 2).any()
     sums = np.array([rng.random() < 0.5 for _ in range(3 * len(basis))], dtype=np.int64).reshape(len(basis), 3)
     in_kernel = (kernel.T @ sums) % 2 == 1  # three columns in the kernel
     width = rng.choice(WIDTHS)
     for right in (_random_bits(rng, m.cols, width, 0.05), np.zeros((m.cols, width), dtype=bool), in_kernel):
         naive = (ref.astype(np.int64) @ right.astype(np.int64)) % 2
-        assert m.compose_is_zero(GF2Matrix.from_bool_array(right)) == (not naive.any())
+        assert m.compose_is_zero(_from_bits(right)) == (not naive.any())
 
 
 @pytest.mark.parametrize("constructor", sorted(CONSTRUCTORS))
@@ -230,7 +239,7 @@ def test_gf2_matrix_invariants(constructor):
             _check_matrix(rng, m, ref)
             right = _random_bits(rng, m.cols, rng.choice(WIDTHS), rng.choice((0.05, 0.5)))
             naive = (ref.astype(np.int64) @ right.astype(np.int64)) % 2 == 1
-            _check_matrix(rng, m @ GF2Matrix.from_bool_array(right), naive)
+            _check_matrix(rng, m @ _from_bits(right), naive)
             _check_matrix(rng, m.transpose(), ref.T)
             r0, r1 = sorted(rng.randint(0, m.rows) for _ in range(2))
             c0, c1 = sorted(rng.randint(0, m.cols) for _ in range(2))

@@ -122,22 +122,23 @@ def test_tensor_assemble_pure_tensor_example():
     assert apply_to_basis(m, 0 * 4 + (0 * 2 + 1)) == set()
 
 
+def random_matrix(rng, rows, cols):
+    return GF2Matrix(rows, cols, [sum(rng.randint(0, 1) << j for j in range(cols)) for _ in range(rows)])
+
+
 def test_tensor_assemble_against_naive_kron():
     rng = random.Random(7)
     for _ in range(15):
         ra, ca = rng.randint(1, 4), rng.randint(1, 4)
         rb, cb = rng.randint(1, 4), rng.randint(1, 4)
-        a = GF2Matrix.from_rows([[rng.randint(0, 1) for _ in range(ca)] for _ in range(ra)])
-        b = GF2Matrix.from_rows([[rng.randint(0, 1) for _ in range(cb)] for _ in range(rb)])
+        a = random_matrix(rng, ra, ca)
+        b = random_matrix(rng, rb, cb)
         assert tensor_assemble([a, b]).to_rows() == naive_kron(a.to_rows(), b.to_rows())
 
 
 def test_tensor_assemble_associative_with_unit():
     rng = random.Random(8)
-    mats = [
-        GF2Matrix.from_rows([[rng.randint(0, 1) for _ in range(3)] for _ in range(2)])
-        for _ in range(3)
-    ]
+    mats = [random_matrix(rng, 2, 3) for _ in range(3)]
     a, b, c = mats
     left = tensor_assemble([tensor_assemble([a, b]), c])
     right = tensor_assemble([a, tensor_assemble([b, c])])
