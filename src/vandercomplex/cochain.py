@@ -45,7 +45,7 @@ from time import perf_counter
 
 from .bruhat import Perm, build_bruhat, inversions, validate_perm
 from .errors import PreconditionError, SizeError, ValidationError, strict_int
-from .gf2 import GF2Matrix, _check_bytes
+from .gf2 import GF2Matrix, _check_bytes, _matrix
 from .linkdiag import LinkDiagram, is_height_uniform, s_vector
 from .summands import _cohomology
 
@@ -235,7 +235,7 @@ def _block_matrices(shapes, groups) -> list[GF2Matrix]:
         places += firsts
     pairs = list(map(divmod, places, repeat(width)))
     stacked = GF2Matrix.from_triplets(starts[-1], width, pairs).ints
-    return [GF2Matrix(rows, cols, stacked[a:b]) for (rows, cols), a, b in zip(shapes, starts, starts[1:])]
+    return [_matrix(rows, cols, stacked[a:b]) for (rows, cols), a, b in zip(shapes, starts, starts[1:])]
 
 
 def _swap(kept, swapped, i: int, j: int) -> tuple:

@@ -40,7 +40,12 @@ class ConsistencyError(VanderComplexError):
 
 
 def strict_int(value, what: str) -> int:
-    """value as an int: bools, non-integral floats and non-numbers are refused."""
+    """value as an int: bools, non-integral floats and non-numbers are refused.
+
+    A plain int returns at once; the abstract-base-class test that admits
+    numpy integers costs about ten times as much."""
+    if type(value) is int:
+        return value
     if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, float) and value.is_integer():

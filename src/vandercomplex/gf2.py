@@ -19,23 +19,21 @@ its lowest set bit until that bit is free, and then stored there
 (`_insert`).  `rank` counts the rows of a matrix that get stored;
 `reduce_columns` reduces a differential's columns once, giving both its
 kernel basis and the boundary table of the next level; and
-`QuotientSpace` inserts its cycles into that table the same way and
-builds its matrices from the resulting integers.  Everything here is
-deterministic: vectors are inserted in their given order and always
-reduce against the lowest set bit first, so identical inputs give
-identical output bits on every run.
+`QuotientSpace` inserts its cycles into that table the same way, then
+reads a vector's quotient coordinates off the rows that reducing it
+through the table uses.  Everything here is deterministic: vectors are
+inserted in their given order and always reduce against the lowest set
+bit first, so identical inputs give identical output bits on every run.
 
 Matrix values are treated as immutable by the rest of the package.
-Indices outside a matrix raise ValidationError, and positions and cycles
-must be Python ints: floats, bools and numpy integers are refused, not
-rounded.
+Indices outside a matrix raise ValidationError, and row ints, positions
+and cycles must be Python ints: floats, bools and numpy integers are
+refused, not rounded.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import repeat
-from operator import or_
 
 from .errors import MembershipError, SizeError, ValidationError
 
@@ -73,11 +71,12 @@ def _bit_string(value: int, width: int) -> str:
 class GF2Matrix:
     """A rows-by-cols bit matrix over GF(2), one int per row in `ints`.
 
-    `ints` are trusted: only their count is checked, and each must be a
-    nonnegative int below 1 << cols.  Every product goes through this
-    constructor, so a per-bit check here would cost every route; callers
-    outside the package build with `from_triplets` or `identity`, which
-    check their input.
+    Each of `ints` must be a nonnegative int below 1 << cols; the
+    constructor refuses any other, naming the first.  Matrices built
+    inside the package (products, submatrices, transposes, assembled
+    levels, quotient coordinates) come from rows that are valid by
+    construction and skip that check through `_matrix`, so no route pays
+    for it.
     """
 
     __slots__ = ("rows", "cols", "ints")
@@ -90,6 +89,8 @@ class GF2Matrix:
             ints = [0] * rows
         elif len(ints) != rows:
             raise ValidationError(f"{rows} rows but {len(ints)} row ints")
+        else:
+            _check_vectors(ints, cols, "row")
         self.rows = rows
         self.cols = cols
         self.ints = ints
@@ -133,7 +134,7 @@ class GF2Matrix:
                 ints[i] ^= 1 << j
         except (IndexError, ValueError):
             raise ValidationError("triplet coordinate out of range") from None
-        return cls(rows, cols, ints)
+        return _matrix(rows, cols, ints)
 
     # -- element access ------------------------------------------------
 
@@ -169,10 +170,10 @@ class GF2Matrix:
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise ValidationError("submatrix range out of bounds")
         mask = (1 << (c1 - c0)) - 1
-        return GF2Matrix(r1 - r0, c1 - c0, [(x >> c0) & mask for x in self.ints[r0:r1]])
+        return _matrix(r1 - r0, c1 - c0, [(x >> c0) & mask for x in self.ints[r0:r1]])
 
     def transpose(self) -> "GF2Matrix":
-        return GF2Matrix(self.cols, self.rows, _transpose(self.ints, self.cols))
+        return _matrix(self.cols, self.rows, _transpose(self.ints, self.cols))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GF2Matrix):
@@ -197,8 +198,8 @@ class GF2Matrix:
             )
         _check_bytes(self.rows, other.cols)
         if not any(self.ints) or not any(other.ints):
-            return GF2Matrix(self.rows, other.cols, [0] * self.rows)
-        return GF2Matrix(self.rows, other.cols, list(_product_rows(self.ints, other.ints)))
+            return _matrix(self.rows, other.cols, [0] * self.rows)
+        return _matrix(self.rows, other.cols, list(_product_rows(self.ints, other.ints)))
 
     def compose_is_zero(self, other: "GF2Matrix") -> bool:
         """True iff self @ other is the zero matrix, found row by row
@@ -234,19 +235,18 @@ class QuotientSpace:
     insertion order, as `reduce_columns` returns it for the columns of a
     differential, and its rows are ints below 1 << n as well.  The cycles
     are inserted into a copy of the table in their given order, and each
-    one that contributes a new pivot becomes a quotient basis vector.
-    Reduction always targets the lowest set bit, so coordinates are
-    deterministic given the input order.  The boundaries must lie in the
-    span of the cycles.
+    one that contributes a new pivot becomes a quotient basis vector: the
+    row it is stored as, which is its representative.  Reduction always
+    targets the lowest set bit, so coordinates are deterministic given the
+    input order.  The boundaries must lie in the span of the cycles, which
+    holds exactly when the table of boundaries and cycles has as many rows
+    as the cycles have rank.
 
-    Everything is built on Python integers, one per vector.  The
-    boundaries lie in the cycle span exactly when the table of boundaries
-    and cycles has as many rows as the cycles have rank.  A vector's
-    coefficients on the table rows depend only on its bits at the pivots,
-    through the inverse of the table's unit-triangular pivot block.  The
-    rows of that inverse for the quotient basis, stacked over the rows that
-    vanish exactly on the table's span, turn coordinates of many vectors
-    into one product; they are built on the first `coordinates` call.
+    The table's rows are independent, so a vector in their span is one sum
+    of them, and the rows that reducing it by the table uses are that sum.
+    The row of the i-th quotient basis vector carries the tag 1 << i and
+    boundary rows carry none, so the XOR of the tags of the rows used is
+    the vector's quotient coordinates.
     """
 
     def __init__(self, cycles: list[int], boundaries: dict[int, int], n: int):
@@ -266,56 +266,32 @@ class QuotientSpace:
             raise MembershipError(f"boundary {i} is not in the span of the cycles")
         self.dim = len(reps)
         # Columns are the representatives, in quotient basis order.
-        self.representatives = GF2Matrix(n, self.dim, _transpose(reps, n))
-        # The quotient basis rows come last in the table: they were inserted last.
+        self.representatives = _matrix(n, self.dim, _transpose(reps, n))
         self._table = table
-        self._apply: GF2Matrix | None = None  # built by the first coordinates call
-        self._free: list[int] = []
-
-    def _build_apply(self) -> None:
-        """The quotient-basis rows of the inverse pivot block, stacked over
-        the check rows at the non-pivot positions, as one matrix."""
-        n, dim = self.n, self.dim
-        stored = list(self._table.values())
-        m = len(stored)
-        # Table rows: the quotient basis, then the boundary rows.  Going
-        # down from the highest pivot, the coefficients that pick out pivot
-        # p are p's own row plus those of the other pivots its row hits.
-        rows = stored[m - dim :] + stored[: m - dim]
-        index = {r & -r: j for j, r in enumerate(rows)}
-        mask = sum(index)
-        coeffs = [0] * n  # at each pivot, its coefficients on the table rows
-        for low in sorted(index, reverse=True):
-            c, rest = 1 << index[low], (self._table[low] & mask) ^ low
-            while rest:
-                hit = rest & -rest
-                c ^= coeffs[hit.bit_length() - 1]
-                rest ^= hit
-            coeffs[low.bit_length() - 1] = c
-        solve = _transpose(coeffs, m)  # row j: the pivots whose coefficients use table row j
-        # v - table^T (solve v) is zero at the pivots; its rows at the other
-        # positions must vanish.
-        self._free = free = [i for i, c in enumerate(coeffs) if not c]
-        on_rows = _transpose([r & ~mask for r in rows], n)  # per position, the rows that hit it
-        check = [(1 << f) ^ c for f, c in zip(free, _product_rows([on_rows[f] for f in free], solve))]
-        self._apply = GF2Matrix(dim + len(free), n, solve[:dim] + check)
-        self._table = None
+        self._tags = {r & -r: 1 << i for i, r in enumerate(reps)}
 
     def coordinates(self, vs: GF2Matrix) -> GF2Matrix:
         """Quotient coordinates of the classes of vs's columns, as the
-        columns of the result.  Raises MembershipError when a column is
-        not in the cycle span, which upstream means a broken chain map.
+        columns of the result.  Raises MembershipError, naming the bit of
+        the first column that reduction leaves with no table row, when a
+        column is not in the cycle span, which upstream means a broken
+        chain map.
         """
-        if self._apply is None:
-            self._build_apply()
-        out = (self._apply @ vs).ints
-        residual = out[self.dim :]
-        if any(residual):
-            hit = reduce(or_, residual)
-            col = (hit & -hit).bit_length() - 1  # the first vector with a residual
-            row = next(i for i, r in enumerate(residual) if (r >> col) & 1)
-            raise MembershipError(f"vector has unreducible bit {self._free[row]}; not in the cycle span")
-        return GF2Matrix(self.dim, vs.cols, out[: self.dim])
+        if vs.rows != self.n:
+            raise ValidationError(f"{vs.rows}-row vectors for a quotient of vectors of length {self.n}")
+        table, tags = self._table, self._tags
+        out = []
+        for v in _transpose(vs.ints, vs.cols):
+            t = 0
+            while v:  # the reduction of _insert, without storing
+                low = v & -v
+                hit = table.get(low)
+                if hit is None:
+                    raise MembershipError(f"vector has unreducible bit {low.bit_length() - 1}; not in the cycle span")
+                v ^= hit
+                t ^= tags.get(low, 0)
+            out.append(t)
+        return _matrix(self.dim, vs.cols, _transpose(out, self.dim))
 
 
 def _check_vectors(vectors: list, n: int, what: str) -> None:
@@ -329,6 +305,14 @@ def _check_vectors(vectors: list, n: int, what: str) -> None:
             raise ValidationError(f"{what} {i} is a negative int")
         if v.bit_length() > n:
             raise ValidationError(f"{what} {i} has bit {v.bit_length() - 1} set, past length {n}")
+
+
+def _matrix(rows: int, cols: int, ints: list[int]) -> GF2Matrix:
+    """A GF2Matrix of rows that are valid by construction, without the
+    constructor's checks."""
+    m = object.__new__(GF2Matrix)
+    m.rows, m.cols, m.ints = rows, cols, ints
+    return m
 
 
 def _rank(vectors: list[int]) -> int:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from vandercomplex import MembershipError, ValidationError
+from vandercomplex import MembershipError, ValidationError, build_complex, torus_two_n
 from vandercomplex import gf2
 from vandercomplex.errors import SizeError
 from vandercomplex.gf2 import GF2Matrix, QuotientSpace
@@ -531,3 +531,34 @@ def test_constructor_checks_the_row_count():
         GF2Matrix(2, 2, [0, 1, 0])
     with pytest.raises(ValidationError, match=r"^3 rows but 0 row ints$"):
         GF2Matrix(3, 5, [])
+
+
+@pytest.mark.parametrize(
+    "ints, match",
+    [
+        pytest.param([4, 0], r"^row 0 has bit 2 set, past length 2$", id="bit-past-the-columns"),
+        pytest.param([0, -1], r"^row 1 is a negative int$", id="negative"),
+        pytest.param(["a", 0], r"^row 0 must be an int, got str$", id="not-an-int"),
+        pytest.param([1, True], r"^row 1 must be an int, got bool$", id="bool"),
+        pytest.param([np.int64(1), 0], r"^row 0 must be an int, got int64$", id="numpy-integer"),
+    ],
+)
+def test_constructor_refuses_bad_row_ints(ints, match):
+    with pytest.raises(ValidationError, match=match):
+        GF2Matrix(2, 2, ints)
+
+
+def test_matrices_built_inside_the_package_skip_the_row_check(monkeypatch):
+    a, b = GF2Matrix(2, 3, [0b011, 0b110]), GF2Matrix(3, 2, [0b01, 0b11, 0b10])
+    q = QuotientSpace([0b011, 0b110], {0b001: 0b101}, 3)  # the table of the boundary 0b101
+
+    def refuse(*args):
+        raise AssertionError("a matrix built inside the package ran the row check")
+
+    monkeypatch.setattr(gf2, "_check_vectors", refuse)
+    assert (a @ b).ints == [0b10, 0b01]
+    assert a.transpose().ints == [0b01, 0b11, 0b10]
+    assert a.submatrix(0, 2, 1, 3).ints == [0b01, 0b11]
+    assert GF2Matrix.from_triplets(2, 2, [(0, 1), (1, 0)]).ints == [0b10, 0b01]
+    assert q.coordinates(b).ints == [0b11]
+    build_complex(torus_two_n(3), (2, 1, 2))  # assembled levels

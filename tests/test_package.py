@@ -3,7 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import vandercomplex
+from vandercomplex.errors import ValidationError, strict_int
 
 
 def test_exports_resolve_without_duplicates():
@@ -11,6 +15,18 @@ def test_exports_resolve_without_duplicates():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(vandercomplex, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("value", [7, np.int64(7), np.uint8(7), 7.0])
+def test_strict_int_reads_integers_as_plain_ints(value):
+    out = strict_int(value, "entry")
+    assert out == 7 and type(out) is int
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 7.5, "7", None])
+def test_strict_int_refuses_bools_fractions_and_non_numbers(value):
+    with pytest.raises(ValidationError, match=r"^entry must be an integer, got "):
+        strict_int(value, "entry")
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:

@@ -43,8 +43,11 @@ def _columns(vectors, n):
 class NumpyQuotient:
     """The numpy construction QuotientSpace used before it built its
     matrices from Python integers: three bit transposes, a product and a
-    vstack, all at construction.  Takes ints, or a prebuilt table as
-    boundaries."""
+    vstack, all at construction.  Its coordinates are the second algorithm
+    QuotientSpace once carried beside the insertion rule: the inverse of
+    the table's pivot block for the quotient basis, stacked over check rows
+    at the non-pivot positions, times the vectors.  Takes ints, or a
+    prebuilt table as boundaries."""
 
     def __init__(self, cycles, boundaries, n):
         prebuilt = boundaries if isinstance(boundaries, dict) else None
@@ -86,7 +89,18 @@ class NumpyQuotient:
         check[np.arange(free.size), free >> 6] ^= np.uint64(1) << (free & 63).astype(np.uint64)
         self._apply = _matrix(self.dim + free.size, n, np.vstack([solve.words[: self.dim], check]))
 
-    coordinates = QuotientSpace.coordinates
+    def coordinates(self, vs):
+        """The stacked matrix times vs, as integer arrays mod 2: the first
+        dim rows are the coordinates, the rest the residuals at the free
+        positions, which must vanish."""
+        out = (self._apply.to_bool_array().astype(np.int64) @ vs.to_bool_array().astype(np.int64)) & 1
+        residual = out[self.dim :]
+        if residual.any():
+            col = np.flatnonzero(residual.any(axis=0))[0]  # the first vector with a residual
+            row = np.flatnonzero(residual[:, col])[0]
+            raise MembershipError(f"vector has unreducible bit {self._free[row]}; not in the cycle span")
+        packed = np.packbits(out[: self.dim].astype(np.uint8), axis=1, bitorder="little")
+        return GF2Matrix(self.dim, vs.cols, [int.from_bytes(row.tobytes(), "little") for row in packed])
 
 
 def _outcome(f, *args):
@@ -187,23 +201,27 @@ def test_construction_makes_no_transpose_and_no_product(monkeypatch):
         _outcome(QuotientSpace, cycles, boundaries, n)
 
 
-def test_coordinate_matrix_built_only_when_asked():
-    q = QuotientSpace([0b011, 0b110], _table([0b101]), 3)
-    assert q._apply is None
-    assert q.representatives.transpose().to_rows() == [[0, 1, 1]]  # 0b011 reduced by the boundary
-    assert q._apply is None
-    assert q.coordinates(_columns([0b110], 3)).to_rows() == [[1]]
-    kept = q._apply
-    assert kept is not None
-    assert q.coordinates(_columns([0b101], 3)).to_rows() == [[0]]
-    assert q._apply is kept
-    # induced maps ask only the target quotients of levels with source cohomology
+def test_induced_maps_ask_only_target_quotients_with_source_cohomology(monkeypatch):
     cx = build_complex(torus_two_n(3), (2, 1, 2))
-    quotients = cohomology_quotients(cx)
-    assert all(q._apply is None for q in quotients)
-    induced_map_from(chain_map(torus_two_n(3), identity_morphism((2, 1, 2)), source_complex=cx), quotients, quotients)
-    assert [q._apply is not None for q in quotients] == [q.dim > 0 for q in quotients]
-    assert not all(q.dim > 0 for q in quotients)
+    source, target = cohomology_quotients(cx), cohomology_quotients(cx)
+    asked = []
+    coordinates = QuotientSpace.coordinates
+
+    def counted(q, vs):
+        asked.append(q)
+        return coordinates(q, vs)
+
+    monkeypatch.setattr(QuotientSpace, "coordinates", counted)
+    induced_map_from(chain_map(torus_two_n(3), identity_morphism((2, 1, 2)), source_complex=cx), source, target)
+    assert asked == [qy for qx, qy in zip(source, target) if qx.dim > 0]
+    assert 0 < len(asked) < len(target)
+
+
+@pytest.mark.parametrize("rows", [0, 2, 4])
+def test_coordinates_refuse_the_wrong_row_count(rows):
+    q = QuotientSpace([0b011, 0b110], _table([0b101]), 3)
+    with pytest.raises(ValidationError, match=rf"^{rows}-row vectors for a quotient of vectors of length 3$"):
+        q.coordinates(GF2Matrix(rows, 1))
 
 
 @pytest.mark.parametrize(
