@@ -12,20 +12,27 @@ colors whose smoothing does not change, and the connected merge-split map
 on the two colors that do.  Because the connected map only passes
 constant colorings through, each basis column has at most one output per
 cover edge, so the differentials assemble directly as sparse positions
-and become bit matrices, one integer per row, at the end.  One assembler
-does this for the matrix complexes of `gendet` as well, which swap in
-unit-after-counit, and the chain maps of `zndiag` are built from the same
-constant maps.
+and become bit matrices, one integer per row, at the end.  The same
+assembler builds the matrix complexes of `gendet`, which swap in
+unit-after-counit.
 
 Every such block is a sum of independent factors, one or two per
 position: a factor with k choices j adds j times its input and output
 steps to the pair's column and row.  The block layouts are tuples of
 Python ints, blocks with the same digits sharing one, and assembly is
 plain Python: the callers group the blocks that share factors, and
-`_block_matrices` checks each block's first and last positions against
-its own level, expands each group factor by factor, and builds every
-level of a complex or chain map from one `from_triplets` call on the
-positions stacked by level.  Building a complex never imports numpy.
+`_checked_groups` checks every level against the byte ceiling, every
+factor, and each block's first and last positions against its own level.
+`_block_matrices` then expands each group factor by factor into
+positions, and builds every level of a complex from one `from_triplets`
+call on the positions stacked by level.  The chain maps of `zndiag` come
+from the same constant maps, but a block of one is a tensor product of
+small per-color maps, so its rows are shifts of one pattern:
+`_row_matrices` expands each group once into the rows its blocks share
+and XORs them into every block with one slice operation, building no
+positions.  Differentials keep the position path, because their blocks
+measured no faster through the row kernel.  Building a complex never
+imports numpy.
 
 Circle identity across different smoothings is never needed: a changed
 color factor depends only on the two circle counts.
@@ -38,9 +45,10 @@ them, and homology on a built complex is the dense check on that route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, chain, repeat
 from math import prod
-from operator import mul
+from operator import itemgetter, lshift, mul, xor
 from time import perf_counter
 
 from .bruhat import Perm, build_bruhat, inversions, validate_perm
@@ -193,35 +201,29 @@ class CochainComplex:
         return True
 
 
-def _block_matrices(shapes, groups) -> list[GF2Matrix]:
-    """Matrices of the given shapes, assembled from blocks.
+def _checked_groups(shapes, groups) -> list[tuple[list[tuple[int, int, int]], int, list]]:
+    """The checks both block assemblers run before they build anything.
 
-    groups gives (k, mi, mo, blocks) for the blocks that share factors: a
-    block (level, r0, c0) sets, in matrix `level`, the bit at row
-    r0 + sum_f j_f mo[f] and column c0 + sum_f j_f mi[f] for every choice
-    0 <= j_f < k[f].  Every k is at least 1, and a factor with more than
-    one choice has nonnegative steps, not both 0.  Every matrix's dense
-    size is checked against the byte ceiling first, and each block's first
-    and last positions against its own matrix before it expands.  Each
-    group's blocks then expand together, factor by factor, into positions
-    stacked by level, and one `from_triplets` call builds every matrix.
+    shapes and groups are as for `_block_matrices`.  Every matrix's dense
+    size is checked against the byte ceiling, every group factor's choices
+    and steps, and each block's first and last positions against its own
+    matrix.  Returns, per group with blocks, its factors with more than one
+    choice as (k, mi, mo), how far its blocks reach down past their first
+    row, and its blocks.
     """
     for rows, cols in shapes:
         _check_bytes(rows, cols)
-    starts = list(accumulate((rows for rows, _ in shapes), initial=0))
-    width = max((cols for _, cols in shapes), default=0)
-    places = []  # row * width + column in the stacked matrices
+    checked = []
     for ks, mis, mos, blocks in groups:
         down = right = 0  # how far a block reaches past its first row and column
-        steps = []
+        factors = []
         for kf, i, o in zip(ks, mis, mos):
             if kf != 1:  # a factor with one choice adds nothing
                 if (kf - 2 | i | o) < 0 or not i | o:
                     raise ValidationError(f"block factor ({kf}, {i}, {o}) needs k >= 1 and steps >= 0, not both 0")
                 down += (kf - 1) * o
                 right += (kf - 1) * i
-                steps.append((kf, o * width + i))
-        firsts = []
+                factors.append((kf, i, o))
         for lv, r, c in blocks:
             rows, cols = shapes[lv]
             if r < 0 or c < 0 or r + down >= rows or c + right >= cols:
@@ -229,13 +231,78 @@ def _block_matrices(shapes, groups) -> list[GF2Matrix]:
                     f"block from ({r}, {c}) to ({r + down}, {c + right}) is out of range "
                     f"for level {lv}, a {rows}x{cols} matrix"
                 )
-            firsts.append((starts[lv] + r) * width + c)
-        for kf, step in steps:
+        if blocks:
+            checked.append((factors, down, blocks))
+    return checked
+
+
+def _block_matrices(shapes, groups) -> list[GF2Matrix]:
+    """Matrices of the given shapes, assembled from blocks by position.
+
+    groups gives (k, mi, mo, blocks) for the blocks that share factors: a
+    block (level, r0, c0) sets, in matrix `level`, the bit at row
+    r0 + sum_f j_f mo[f] and column c0 + sum_f j_f mi[f] for every choice
+    0 <= j_f < k[f].  Every k is at least 1, and a factor with more than
+    one choice has nonnegative steps, not both 0.  After the checks of
+    `_checked_groups`, each group's blocks expand together, factor by
+    factor, into positions stacked by level, and one `from_triplets` call
+    builds every matrix.
+    """
+    starts = list(accumulate((rows for rows, _ in shapes), initial=0))
+    width = max((cols for _, cols in shapes), default=0)
+    places = []  # row * width + column in the stacked matrices
+    for factors, _, blocks in _checked_groups(shapes, groups):
+        firsts = [(starts[lv] + r) * width + c for lv, r, c in blocks]
+        for kf, i, o in factors:
+            step = o * width + i
             firsts = [q + d for d in range(0, kf * step, step) for q in firsts]
         places += firsts
     pairs = list(map(divmod, places, repeat(width)))
     stacked = GF2Matrix.from_triplets(starts[-1], width, pairs).ints
     return [_matrix(rows, cols, stacked[a:b]) for (rows, cols), a, b in zip(shapes, starts, starts[1:])]
+
+
+def _row_matrices(shapes, groups) -> list[GF2Matrix]:
+    """The matrices of `_block_matrices`, assembled as row ints.
+
+    After the same checks, each group's factors expand once into the rows
+    its blocks share, as ints from column 0.  A factor with no row step (a
+    cap) folds its column shifts into the one pattern the rows start from.
+    The factors with a row step then repeat the rows so far down by that
+    step, smallest step first, shifted right by their column step (a cup,
+    with no column step, repeats them as they are).  Each block XORs the
+    rows, shifted to its first column, into its matrix from its first row
+    on, in one slice operation.  XOR, like `from_triplets`, lets blocks
+    overlap and repeated positions cancel.
+    """
+    levels = [[0] * rows for rows, _ in shapes]
+    for factors, down, blocks in _checked_groups(shapes, groups):
+        pattern = 1
+        for kf, i, o in factors:
+            if not o:
+                pattern = reduce(xor, map(lshift, repeat(pattern, kf), range(0, kf * i, i)))
+        shared = [pattern]
+        for kf, i, o in sorted([f for f in factors if f[2]], key=itemgetter(2)):
+            height = len(shared)
+            # The copies of a chain map's factors never overlap, since its
+            # row steps are place values, taken smallest first.  Laying
+            # them end to end builds the zmap-induced chain maps in about
+            # three quarters of the time of the XOR loop below, which any
+            # group may take.
+            if o >= height:
+                shared += [0] * (o - height)
+                shared = [x << s for s in range(0, kf * i, i) for x in shared] if i else shared * kf
+                del shared[len(shared) - o + height :]
+            else:
+                grown = [0] * (height + (kf - 1) * o)
+                for j in range(kf):
+                    a = j * o
+                    grown[a : a + height] = map(xor, grown[a : a + height], map(lshift, shared, repeat(j * i)))
+                shared = grown
+        for lv, r, c in blocks:
+            ints = levels[lv]
+            ints[r : r + down + 1] = map(xor, ints[r : r + down + 1], map(lshift, shared, repeat(c)))
+    return [_matrix(rows, cols, ints) for (rows, cols), ints in zip(shapes, levels)]
 
 
 def _swap(kept, swapped, i: int, j: int) -> tuple:

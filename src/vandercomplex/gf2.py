@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .errors import MembershipError, SizeError, ValidationError
+from .errors import MembershipError, SizeError, ValidationError, strict_int
 
 # Hard ceiling on a matrix built dense (zeros, the identity, a product, a
 # level of an assembled complex), in the bytes its row ints take when
@@ -233,14 +233,16 @@ class QuotientSpace:
     `cycles` are ints below 1 << n, bit j being entry j.  `boundaries` is
     the table that inserting them builds, {lowest set bit: stored row} in
     insertion order, as `reduce_columns` returns it for the columns of a
-    differential, and its rows are ints below 1 << n as well.  The cycles
-    are inserted into a copy of the table in their given order, and each
-    one that contributes a new pivot becomes a quotient basis vector: the
-    row it is stored as, which is its representative.  Reduction always
-    targets the lowest set bit, so coordinates are deterministic given the
-    input order.  The boundaries must lie in the span of the cycles, which
-    holds exactly when the table of boundaries and cycles has as many rows
-    as the cycles have rank.
+    differential, and its rows are ints below 1 << n as well, each nonzero
+    and stored under its lowest set bit; n is a nonnegative integer, not a
+    float.  Any other input raises ValidationError, naming the first
+    offender.  The cycles are inserted into a copy of the table in their
+    given order, and each one that contributes a new pivot becomes a
+    quotient basis vector: the row it is stored as, which is its
+    representative.  Reduction always targets the lowest set bit, so
+    coordinates are deterministic given the input order.  The boundaries
+    must lie in the span of the cycles, which holds exactly when the table
+    of boundaries and cycles has as many rows as the cycles have rank.
 
     The table's rows are independent, so a vector in their span is one sum
     of them, and the rows that reducing it by the table uses are that sum.
@@ -250,10 +252,17 @@ class QuotientSpace:
     """
 
     def __init__(self, cycles: list[int], boundaries: dict[int, int], n: int):
+        if isinstance(n, float):
+            raise ValidationError(f"vector length must be an integer, got {n!r}")
+        n = strict_int(n, "vector length")
+        if n < 0:
+            raise ValidationError(f"vector length must be nonnegative, got {n}")
         if not isinstance(boundaries, dict):
             raise ValidationError(f"boundaries must be an insertion table, got {type(boundaries).__name__}")
         _check_vectors(cycles, n, "cycle")
-        _check_vectors(list(boundaries.values()), n, "boundary")
+        rows = list(boundaries.values())
+        _check_vectors(rows, n, "boundary")
+        _check_table(boundaries, rows)
         self.n = n
         table = dict(boundaries)  # lowest set bit -> stored row
         reps = [r for r, _ in (_insert(table, v) for v in cycles) if r]
@@ -305,6 +314,19 @@ def _check_vectors(vectors: list, n: int, what: str) -> None:
             raise ValidationError(f"{what} {i} is a negative int")
         if v.bit_length() > n:
             raise ValidationError(f"{what} {i} has bit {v.bit_length() - 1} set, past length {n}")
+
+
+def _check_table(boundaries: dict, rows: list[int]) -> None:
+    """Refuse, naming the first, a boundary row that is not stored under
+    its lowest set bit; a zero row has none.  Reduction by such a table
+    could cycle forever."""
+    if 0 not in boundaries and list(boundaries) == [r & -r for r in rows]:
+        return
+    for i, (key, row) in enumerate(boundaries.items()):
+        if not row:
+            raise ValidationError(f"boundary {i} is zero, stored under key {key!r}")
+        if key != row & -row:
+            raise ValidationError(f"boundary {i} is stored under key {key!r}, not its lowest set bit {row & -row}")
 
 
 def _matrix(rows: int, cols: int, ints: list[int]) -> GF2Matrix:

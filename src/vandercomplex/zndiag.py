@@ -13,9 +13,13 @@ is capped off (merges then counit), an unmatched target position is
 filled in (unit then splits), and each dot contributes its sphere value,
 the dot color mod 2.
 
-A chain map is assembled like a differential, in plain Python: block by
-block, each factor's choices and steps are read from the block layouts of
-the two complexes.
+A chain map reads each factor's choices and steps from the block layouts
+of the two complexes, like a differential, but is assembled by row
+(`cochain._row_matrices`): block b of one complex faces block b of the
+other, and the rows of a block are shifts of one pattern, the caps'
+column shifts folded into it by XOR and repeated down the rows by the
+arcs and cups.  Differentials keep the position path, which measured as
+fast for them.
 
 Composition concatenates arcs through shared middle points.  A middle
 point matched on neither side leaves a closed cap-cup component behind;
@@ -31,7 +35,7 @@ from operator import itemgetter
 from .cochain import (
     DEFAULT_DIM_BUDGET,
     CochainComplex,
-    _block_matrices,
+    _row_matrices,
     build_complex,
     validate_colors,
 )
@@ -253,7 +257,7 @@ def chain_map(
             factors = pick(sum(layouts, ()) + (0,))
             group = groups[counts] = (factors[:f], factors[f : 2 * f], factors[2 * f :], [])
         group[3].append((lv, r, c))
-    levels = _block_matrices(shapes, groups.values())
+    levels = _row_matrices(shapes, groups.values())
     return ChainMap(morphism=m, source=cx, target=cy, blocks=tuple(levels))
 
 

@@ -21,7 +21,7 @@ from vandercomplex import (
     torus_two_n,
     verify_euler,
 )
-from vandercomplex.cochain import _block_matrices
+from vandercomplex.cochain import _block_matrices, _row_matrices
 from vandercomplex.errors import ValidationError
 from vandercomplex.gf2 import GF2Matrix
 
@@ -301,11 +301,16 @@ def test_homology_rejects_broken_differentials():
 # Stacked, these two levels are 4 rows by 5 columns.
 LEVEL_SHAPES = [(1, 2), (3, 5)]
 
+# Both block assemblers: by position, for differentials, and by row, for
+# chain maps.  They take the same groups and run the same checks.
+ASSEMBLERS = (_block_matrices, _row_matrices)
+
 
 def test_blocks_fill_their_own_level():
     groups = [((), (), (), [(0, 0, 1)]), ((5,), (1,), (0,), [(1, 2, 0)])]
-    levels = _block_matrices(LEVEL_SHAPES, groups)
-    assert [m.to_rows() for m in levels] == [[[0, 1]], [[0] * 5, [0] * 5, [1] * 5]]
+    for assemble in ASSEMBLERS:
+        levels = assemble(LEVEL_SHAPES, groups)
+        assert [m.to_rows() for m in levels] == [[[0, 1]], [[0] * 5, [0] * 5, [1] * 5]], assemble.__name__
 
 
 @pytest.mark.parametrize(
@@ -322,9 +327,50 @@ def test_blocks_fill_their_own_level():
 )
 def test_blocks_are_checked_against_their_own_level(group):
     # each stays inside the stacked shape, so only a check per block and
-    # level sees it
-    with pytest.raises(ValidationError):
-        _block_matrices(LEVEL_SHAPES, [group])
+    # level sees it; both assemblers refuse it with the same text
+    texts = []
+    for assemble in ASSEMBLERS:
+        with pytest.raises(ValidationError) as refused:
+            assemble(LEVEL_SHAPES, [group])
+        texts.append(str(refused.value))
+    assert texts[0] == texts[1]
+
+
+def test_both_assemblers_refuse_a_level_over_the_byte_ceiling():
+    for assemble in ASSEMBLERS:
+        with pytest.raises(SizeError, match="294912x131072 matrix .* byte ceiling"):
+            assemble([(2, 2), (294912, 131072)], [((), (), (), [(0, 0, 0)])])
+
+
+def _random_groups(rng, shapes):
+    """Random groups of up to three factors, steps 0-3 and choices 1-3,
+    with blocks that fit their level: factors whose rows or columns
+    overlap, caps whose shifts cancel, and blocks that overlap."""
+    groups = []
+    for _ in range(rng.randint(0, 6)):
+        factors = []
+        for _ in range(rng.randint(0, 3)):
+            k, i, o = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 3)
+            factors.append((k, i or (0 if o else 1), o))
+        ks, mis, mos = (tuple(f[t] for f in factors) for t in range(3))
+        down = sum((k - 1) * o for k, _, o in factors)
+        right = sum((k - 1) * i for k, i, _ in factors)
+        blocks = []
+        for _ in range(rng.randint(0, 3)):
+            lv = rng.randrange(len(shapes))
+            rows, cols = shapes[lv]
+            if rows > down and cols > right:
+                blocks.append((lv, rng.randint(0, rows - 1 - down), rng.randint(0, cols - 1 - right)))
+        groups.append((ks, mis, mos, blocks))
+    return groups
+
+
+def test_row_assembler_matches_positions_on_random_groups():
+    rng = random.Random(18)
+    for _ in range(300):
+        shapes = [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(rng.randint(1, 3))]
+        groups = _random_groups(rng, shapes)
+        assert _row_matrices(shapes, groups) == _block_matrices(shapes, groups)
 
 
 def test_block_requires_a_cover():

@@ -4,10 +4,10 @@ GF(2) matrix invariants.
 Random JSON, and random near-miss versions of each format, must either
 parse or raise ValidationError; the command line must answer every such
 file with exit 0, 1 or 2 and at most one line on stderr, never a
-traceback.  Every way of building a GF2Matrix, block assembly included,
-and every product, transpose and submatrix, must keep each row inside its
-columns and agree with a numpy reference, through both the array and the
-bit accessors, and its kernel basis must lie in its kernel.  Examples are
+traceback.  Every way of building a GF2Matrix, both block assemblers
+included, and every product, transpose and submatrix, must keep each row
+inside its columns and agree with a numpy reference, through both the
+array and the bit accessors, and its kernel basis must lie in its kernel.  Examples are
 derandomized so the suite is repeatable.
 """
 
@@ -150,8 +150,9 @@ def _pairs(rng, bits) -> list[tuple[int, int]]:
     return pairs
 
 
-def _block_levels(rng, bits):
-    """`bits` and a second random level, built by one block assembly call.
+def _block_levels(rng, bits, assemble=cochain._block_matrices):
+    """`bits` and a second random level, built by one call of a block
+    assembler, by default the one that works by position.
 
     Every set bit is a block of one position, some given twice so that
     they cancel, and each level also gets a random rectangle of stride one
@@ -173,7 +174,7 @@ def _block_levels(rng, bits):
     rng.shuffle(points)
     groups.append(((), (), (), points))
     rng.shuffle(groups)
-    return list(zip(cochain._block_matrices([bits.shape, other.shape], groups), refs))
+    return list(zip(assemble([bits.shape, other.shape], groups), refs))
 
 
 def _from_bits(bits) -> GF2Matrix:
@@ -200,6 +201,7 @@ CONSTRUCTORS = {
     ],
     "from_triplets": lambda rng, bits: [(GF2Matrix.from_triplets(*bits.shape, _pairs(rng, bits)), bits)],
     "block_matrices": _block_levels,
+    "row_matrices": lambda rng, bits: _block_levels(rng, bits, cochain._row_matrices),
 }
 
 

@@ -1,11 +1,16 @@
 """QuotientSpace against its former numpy construction, its input checks,
 and what its construction does and does not compute."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vandercomplex
 from vandercomplex import MembershipError, ValidationError, build_complex, torus_two_n
 from vandercomplex import gf2
 from vandercomplex.gf2 import GF2Matrix, QuotientSpace
@@ -234,6 +239,12 @@ def test_coordinates_refuse_the_wrong_row_count(rows):
         pytest.param([1.0], {}, 4, r"^cycle 0 must be an int, got float$", id="float"),
         pytest.param([1], [1], 4, r"^boundaries must be an insertion table, got list$", id="boundary"),
         pytest.param([1], {16: 16}, 4, r"^boundary 0 has bit 4 set, past length 4$", id="table-row"),
+        # these four once escaped as a bare StopIteration or TypeError, or
+        # built a matrix with -1 rows
+        pytest.param([1], {1: 1, 2: 0}, 3, r"^boundary 1 is zero, stored under key 2$", id="zero-row"),
+        pytest.param([1], {}, "3", r"^vector length must be an integer, got '3'$", id="length-str"),
+        pytest.param([1], {}, 2.0, r"^vector length must be an integer, got 2\.0$", id="length-float"),
+        pytest.param([], {}, -1, r"^vector length must be nonnegative, got -1$", id="length-negative"),
     ],
 )
 def test_bad_vectors_raise_one_line_validation_errors(cycles, boundaries, n, match):
@@ -249,3 +260,30 @@ def test_boundary_outside_span_is_named():
     assert q.dim == 1
     with pytest.raises(MembershipError, match=r"^boundary 0 is not in the span of the cycles$"):
         QuotientSpace([0b0011, 0b0110, 0b0101], _table([0b1000]), 4)
+
+
+def test_numpy_integer_length_is_read_as_an_int():
+    q = QuotientSpace([0b011, 0b110], _table([0b101]), np.int64(3))
+    assert type(q.n) is int and q.n == 3 and q.dim == 1
+    assert q.representatives.rows == 3
+
+
+def test_table_row_off_its_lowest_bit_is_refused_without_hanging():
+    # Reducing by this table once cycled forever, so the check runs in a
+    # subprocess with a timeout: a regression fails instead of hanging.
+    script = (
+        "from vandercomplex import ValidationError\n"
+        "from vandercomplex.gf2 import QuotientSpace\n"
+        "try:\n"
+        "    QuotientSpace([0b001, 0b110], {1: 0b110}, 3)\n"
+        "except ValidationError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    src = str(Path(vandercomplex.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "boundary 0 is stored under key 1, not its lowest set bit 2\n"

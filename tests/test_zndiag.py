@@ -13,6 +13,7 @@ from vandercomplex import (
     MembershipError,
     PreconditionError,
     QuotientSpace,
+    SizeError,
     ValidationError,
     ZndiagMorphism,
     build_complex,
@@ -28,7 +29,7 @@ from vandercomplex import (
     torus_two_n,
     validate_morphism,
 )
-from vandercomplex import gf2, zndiag
+from vandercomplex import cochain, gf2, zndiag
 from vandercomplex.cli import main
 from vandercomplex.gf2 import GF2Matrix
 
@@ -158,6 +159,35 @@ def test_chain_map_commutation_random():
         m = random_morphism(rng, x, y)
         cm = chain_map(d, m, source_complex=complexes[x], target_complex=complexes[y])
         assert cm.commutes(), m
+
+
+def test_chain_maps_from_rows_equal_chain_maps_from_positions(monkeypatch):
+    # the same groups through the position assembler give the same bits
+    rng = random.Random(18)
+    seen = set()
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        d = random_diagram(n, rng)
+        x = tuple(rng.randint(1, 3) for _ in range(n))
+        y = tuple(xi if rng.random() < 0.6 else rng.randint(1, 3) for xi in x)
+        m = random_morphism(rng, x, y, dot_colors=(1, 2, 3, 5))
+        try:
+            cm = chain_map(d, m, budget=4000)
+        except SizeError:
+            continue
+        with monkeypatch.context() as patched:
+            patched.setattr(zndiag, "_row_matrices", cochain._block_matrices)
+            ref = chain_map(d, m, source_complex=cm.source, target_complex=cm.target)
+        assert cm.blocks == ref.blocks, m
+        nonzero = any(any(b.ints) for b in cm.blocks)
+        seen.add("nonzero" if nonzero else "zero")
+        seen.add("odd dots" if m.sphere_factor() else "even dot")
+        if nonzero:
+            seen.update("moving arc" for i, j in m.arcs if i != j)
+            seen.update("cap" for i in range(1, n + 1) if i not in m.arc_by_source())
+            seen.update("cup" for j in range(1, n + 1) if j not in m.arc_by_target())
+            seen.add(f"n={n}")
+    assert seen >= {"nonzero", "zero", "odd dots", "even dot", "moving arc", "cap", "cup", "n=3", "n=4"}
 
 
 def test_chain_map_functor_law():
