@@ -8,21 +8,19 @@ a cover exactly when no entry strictly between the two values sits in the
 positions between them.
 
 `build_bruhat` builds the poset of each n once per process and hands the
-same `BruhatPoset` to every later caller, so the poset and everything
-cached on it are read-only: levels and edges are tuples, and `up_covers`
-is a read-only mapping.
+same `BruhatPoset` to every later caller, so the poset is read-only: its
+levels and edges are tuples.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 from itertools import permutations
-from types import MappingProxyType
 
-from .errors import PreconditionError, SizeError, ValidationError
+from .errors import PreconditionError, SizeError, ValidationError, strict_int
 
 Perm = tuple[int, ...]
 
-DEFAULT_N_CAP = 6
+N_CAP = 6
 
 
 def validate_perm(p) -> Perm:
@@ -77,49 +75,29 @@ class BruhatPoset:
     def max_rank(self) -> int:
         return len(self.levels) - 1
 
-    @cached_property
-    def up_covers(self) -> MappingProxyType:
-        """The covers of each permutation, read from cover_edges, as a
-        read-only mapping: the poset is shared by every caller."""
-        up: dict[Perm, list[Perm]] = {p: [] for level in self.levels for p in level}
-        for p, q in self.cover_edges:
-            up[p].append(q)
-        return MappingProxyType({p: tuple(qs) for p, qs in up.items()})
 
-    def edges_from_level(self, k: int) -> list[tuple[Perm, Perm]]:
-        """Cover edges whose source has rank k."""
-        up = self.up_covers
-        return [(p, q) for p in self.levels[k] for q in up[p]]
-
-
-_POSETS: dict[int, BruhatPoset] = {}
-
-
-def build_bruhat(n: int, cap: int = DEFAULT_N_CAP) -> BruhatPoset:
+def build_bruhat(n: int) -> BruhatPoset:
     """S_n with rank levels and all cover edges, built on first use and
     shared afterwards.
 
-    n is capped (default 6) because the poset has n! elements and the
-    downstream complexes grow much faster still.  The cap is checked on
-    every call, so a poset built under a larger cap is still refused under
-    the default one.  The complex, report and chain-map routes call this
-    with the default, so DEFAULT_N_CAP is their n cap; only the summand
-    table, which its callers reach after their own check, passes cap=n.
-    The refusal names the cap and nothing more, since those routes pass it
-    on to callers who cannot raise it.
+    n is capped at N_CAP because the poset has n! elements and the
+    downstream complexes grow much faster still; every route reaches the
+    poset through here, so N_CAP is the n cap of them all.  The refusal
+    names the cap and nothing more, since the routes pass it on to callers
+    who cannot raise it.
     """
+    n = strict_int(n, "group size")
     if n < 1:
         raise ValidationError(f"group size must be positive, got {n}")
-    if n > cap:
-        raise SizeError(f"n={n} exceeds the poset cap {cap}")
-    poset = _POSETS.get(n)
-    if poset is None:
-        poset = _POSETS[n] = _generate(n)
-    return poset
+    if n > N_CAP:
+        raise SizeError(f"n={n} exceeds the poset cap {N_CAP}")
+    return _generate(n)
 
 
+@cache
 def _generate(n: int) -> BruhatPoset:
-    """S_n with its rank levels and cover edges, generated from scratch."""
+    """S_n with its rank levels and cover edges, generated on the first
+    call for each n."""
     max_rank = n * (n - 1) // 2
     buckets: list[list[Perm]] = [[] for _ in range(max_rank + 1)]
     for q in permutations(range(1, n + 1)):
@@ -158,6 +136,7 @@ def mahonian_distribution(n: int) -> list[int]:
 
     Computed as the coefficient list of prod_{k=1}^{n} (1 + q + ... + q^(k-1)).
     """
+    n = strict_int(n, "group size")
     if n < 1:
         raise ValidationError(f"group size must be positive, got {n}")
     coeffs = [1]

@@ -23,16 +23,19 @@ Python ints, blocks with the same digits sharing one, and assembly is
 plain Python: the callers group the blocks that share factors, and
 `_checked_groups` checks every level against the byte ceiling, every
 factor, and each block's first and last positions against its own level.
-`_block_matrices` then expands each group factor by factor into
-positions, and builds every level of a complex from one `from_triplets`
-call on the positions stacked by level.  The chain maps of `zndiag` come
-from the same constant maps, but a block of one is a tensor product of
-small per-color maps, so its rows are shifts of one pattern:
-`_row_matrices` expands each group once into the rows its blocks share
-and XORs them into every block with one slice operation, building no
-positions.  Differentials keep the position path, because their blocks
-measured no faster through the row kernel.  Building a complex never
-imports numpy.
+It also orders each group's factors by row step and refuses a row step
+that falls within the rows the smaller steps span, so the copies a factor
+makes of those rows never overlap; differential and chain-map groups
+alike meet this.  `_block_matrices` then expands each group factor by
+factor into positions, and builds every level of a complex from one
+`from_triplets` call on the positions stacked by level.  The chain maps
+of `zndiag` come from the same constant maps, but a block of one is a
+tensor product of small per-color maps, so its rows are shifts of one
+pattern: `_row_matrices` expands each group once into the rows its
+blocks share, laying copies end to end, and XORs them into every block
+with one slice operation, building no positions.  Differentials keep the
+position path, because their blocks measured no faster through the row
+kernel.  Building a complex never imports numpy.
 
 Circle identity across different smoothings is never needed: a changed
 color factor depends only on the two circle counts.
@@ -207,9 +210,12 @@ def _checked_groups(shapes, groups) -> list[tuple[list[tuple[int, int, int]], in
     shapes and groups are as for `_block_matrices`.  Every matrix's dense
     size is checked against the byte ceiling, every group factor's choices
     and steps, and each block's first and last positions against its own
-    matrix.  Returns, per group with blocks, its factors with more than one
-    choice as (k, mi, mo), how far its blocks reach down past their first
-    row, and its blocks.
+    matrix.  A group's factors are taken by row step, smallest first, and
+    a row step must reach past the rows the smaller ones already span, so
+    that a factor's copies of those rows lie end to end.  Returns, per
+    group with blocks, its factors with more than one choice as (k, mi,
+    mo) in that order, how far its blocks reach down past their first row,
+    and its blocks.
     """
     for rows, cols in shapes:
         _check_bytes(rows, cols)
@@ -217,10 +223,15 @@ def _checked_groups(shapes, groups) -> list[tuple[list[tuple[int, int, int]], in
     for ks, mis, mos, blocks in groups:
         down = right = 0  # how far a block reaches past its first row and column
         factors = []
-        for kf, i, o in zip(ks, mis, mos):
+        for kf, i, o in sorted(zip(ks, mis, mos), key=itemgetter(2)):
             if kf != 1:  # a factor with one choice adds nothing
                 if (kf - 2 | i | o) < 0 or not i | o:
                     raise ValidationError(f"block factor ({kf}, {i}, {o}) needs k >= 1 and steps >= 0, not both 0")
+                if 0 < o <= down:
+                    raise ValidationError(
+                        f"block factor ({kf}, {i}, {o}) has a row step within the {down + 1} rows "
+                        "of the smaller steps, so its copies overlap"
+                    )
                 down += (kf - 1) * o
                 right += (kf - 1) * i
                 factors.append((kf, i, o))
@@ -266,39 +277,28 @@ def _row_matrices(shapes, groups) -> list[GF2Matrix]:
     """The matrices of `_block_matrices`, assembled as row ints.
 
     After the same checks, each group's factors expand once into the rows
-    its blocks share, as ints from column 0.  A factor with no row step (a
-    cap) folds its column shifts into the one pattern the rows start from.
-    The factors with a row step then repeat the rows so far down by that
-    step, smallest step first, shifted right by their column step (a cup,
-    with no column step, repeats them as they are).  Each block XORs the
-    rows, shifted to its first column, into its matrix from its first row
-    on, in one slice operation.  XOR, like `from_triplets`, lets blocks
-    overlap and repeated positions cancel.
+    its blocks share, as ints from column 0, in the order the checks give
+    them.  The factors with no row step (caps) come first, and each folds
+    its column shifts into the one row there is so far.  Each factor with
+    a row step then lays its copies of the rows so far end to end, that
+    step apart, each shifted right by its column step (a cup, with no
+    column step, repeats them as they are); the checks leave no two copies
+    overlapping.  Each block XORs the rows, shifted to its first column,
+    into its matrix from its first row on, in one slice operation.  XOR,
+    like `from_triplets`, lets blocks overlap and repeated positions
+    cancel.
     """
     levels = [[0] * rows for rows, _ in shapes]
     for factors, down, blocks in _checked_groups(shapes, groups):
-        pattern = 1
+        shared = [1]
         for kf, i, o in factors:
-            if not o:
-                pattern = reduce(xor, map(lshift, repeat(pattern, kf), range(0, kf * i, i)))
-        shared = [pattern]
-        for kf, i, o in sorted([f for f in factors if f[2]], key=itemgetter(2)):
-            height = len(shared)
-            # The copies of a chain map's factors never overlap, since its
-            # row steps are place values, taken smallest first.  Laying
-            # them end to end builds the zmap-induced chain maps in about
-            # three quarters of the time of the XOR loop below, which any
-            # group may take.
-            if o >= height:
+            if o:
+                height = len(shared)
                 shared += [0] * (o - height)
                 shared = [x << s for s in range(0, kf * i, i) for x in shared] if i else shared * kf
                 del shared[len(shared) - o + height :]
             else:
-                grown = [0] * (height + (kf - 1) * o)
-                for j in range(kf):
-                    a = j * o
-                    grown[a : a + height] = map(xor, grown[a : a + height], map(lshift, shared, repeat(j * i)))
-                shared = grown
+                shared = [reduce(xor, map(lshift, repeat(shared[0], kf), range(0, kf * i, i)))]
         for lv, r, c in blocks:
             ints = levels[lv]
             ints[r : r + down + 1] = map(xor, ints[r : r + down + 1], map(lshift, shared, repeat(c)))
@@ -312,6 +312,7 @@ def _swap(kept, swapped, i: int, j: int) -> tuple:
 
 def check_budget(dims, budget: int) -> None:
     """Refuse a complex whose total dimension is over the basis budget."""
+    budget = strict_int(budget, "budget")
     total = sum(dims)
     if total > budget:
         raise SizeError(f"total dimension {total} exceeds the budget {budget}")
@@ -325,7 +326,7 @@ def _assemble(n: int, digits_for, *, merge_split: bool, budget: int, **fields) -
     positions it keeps.  On the two it swaps it is the connected map:
     merge-split, constant a in and constant a out, for link complexes, or
     unit-after-counit, constant a in and digit 0 out, for matrix complexes
-    (merge_split false).  The poset's n cap (`bruhat.DEFAULT_N_CAP`), the
+    (merge_split false).  The poset's n cap (`bruhat.N_CAP`), the
     basis budget and every differential's dense size are checked before
     any coordinate is built.  fields go to the CochainComplex as they are.
     """
@@ -380,7 +381,7 @@ def _colors_and_s(d: LinkDiagram, x) -> tuple[ColorVector, tuple[int, ...]]:
 def build_complex(d: LinkDiagram, x, *, budget: int = DEFAULT_DIM_BUDGET) -> CochainComplex:
     """Assemble the full complex of a diagram and a color vector.
 
-    n is capped at `bruhat.DEFAULT_N_CAP` and the total dimension at
+    n is capped at `bruhat.N_CAP` and the total dimension at
     budget, both checked before any coordinate is built.
     """
     xs, s = _colors_and_s(d, x)
@@ -484,7 +485,7 @@ def verify_euler(
     the color-independent summands C(N, j) (see `summands`), each occurring
     prod_{i not in N} x_i * prod_{i in N} (x_i^(s_{j_i}) - x_i) times; the
     summed dimensions must reproduce the counting formula at every level.
-    n is capped at `bruhat.DEFAULT_N_CAP`.  budget caps the total dimension
+    n is capped at `bruhat.N_CAP`.  budget caps the total dimension
     of a complex whose cohomology is asked for; it does not apply with
     skip_homology.  Both are checked before any work.
     """

@@ -149,7 +149,7 @@ def _grid_report(grid, factors, skip_homology: bool, budget: int, x=None, s=None
     Dimensions and determinant are those of the grid; the cohomology, unless
     skipped, is summed over the summands C(N, j) with the given multiplicity
     factors (see `summands.homology_dims`) once the budget is checked.  n is
-    capped at `bruhat.DEFAULT_N_CAP`.
+    capped at `bruhat.N_CAP`.
     """
     t0 = perf_counter()
     dims = _grid_dims(grid)
@@ -175,7 +175,7 @@ def _grid_report(grid, factors, skip_homology: bool, budget: int, x=None, s=None
 def build_matrix_complex(m: PosIntMatrix) -> CochainComplex:
     """Bruhat-shaped complex whose Euler characteristic is det(m).
 
-    n is capped at `bruhat.DEFAULT_N_CAP` and the total dimension at
+    n is capped at `bruhat.N_CAP` and the total dimension at
     `cochain.DEFAULT_DIM_BUDGET`, both checked before any coordinate is
     built.
     """
@@ -202,7 +202,7 @@ def matrix_report(
     As in verify_euler, the dimensions come from the counting formula and
     the cohomology, unless skip_homology is set, from the summands C(N, j),
     each occurring prod_{i in N} (m[i][j_i] - 1) times; n is capped at
-    `bruhat.DEFAULT_N_CAP`, and budget is checked on the total dimension
+    `bruhat.N_CAP`, and budget is checked on the total dimension
     first.
     """
     factors = [[1] + [v - 1 for v in row] for row in m.entries]

@@ -125,6 +125,7 @@ def torus_two_n(n: int) -> LinkDiagram:
     bottom.  The 0-smoothing keeps the strands parallel; the 1-smoothing
     joins them across.
     """
+    n = strict_int(n, "crossing count")
     if n < 1:
         raise ValidationError("a torus diagram needs at least one crossing to order")
     crossings = []

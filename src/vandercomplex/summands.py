@@ -51,11 +51,16 @@ class SummandTable:
     (dim C^k, dim H^k) as tuples over k; sets with equal rows share one id,
     so rows holds each distinct row once, under the ids 0, 1, ... in
     order.  Rows are tuples because the table is shared by every caller.
+    level_of gives each permutation's rank, and the private cover lists,
+    read from the poset's cover_edges, each permutation's covers.
     """
 
     def __init__(self, poset: BruhatPoset):
         self.poset = poset
         self.level_of = {p: k for k, level in enumerate(poset.levels) for p in level}
+        self._covers: dict[Perm, list[Perm]] = {p: [] for p in self.level_of}
+        for p, q in poset.cover_edges:
+            self._covers[p].append(q)
         self.ids: dict[int, int] = {}
         self.rows: dict[int, Row] = {}
         self._interned: dict[Row, int] = {}  # row -> its id
@@ -106,7 +111,7 @@ class SummandTable:
         # the levels lo .. hi - 1 hold every member; H is zero outside them
         held = [k for k, dim in enumerate(dims) if dim]
         lo, hi = held[0], held[-1] + 1
-        up = self.poset.up_covers
+        up = self._covers
         differentials = [
             GF2Matrix.from_triplets(
                 dims[k + 1],
@@ -136,13 +141,12 @@ _TABLES: dict[int, SummandTable] = {}
 
 
 def summand_table(n: int) -> SummandTable:
-    """The table of S_n, created on first use and shared afterwards.
-
-    Callers check their own n cap before asking for a table.
+    """The table of S_n, created on first use and shared afterwards; n is
+    capped at `bruhat.N_CAP`.
     """
     table = _TABLES.get(n)
     if table is None:
-        table = _TABLES[n] = SummandTable(build_bruhat(n, cap=n))
+        table = _TABLES[n] = SummandTable(build_bruhat(n))
     return table
 
 

@@ -210,7 +210,7 @@ def chain_map(
 
     An endomorphism without a prebuilt target maps the source complex to
     itself.  A complex that is not prebuilt is built under budget (see
-    build_complex; n is capped at `bruhat.DEFAULT_N_CAP`).
+    build_complex; n is capped at `bruhat.N_CAP`).
     """
     if m.n != d.n:
         raise PreconditionError(

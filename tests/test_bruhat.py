@@ -1,8 +1,8 @@
 import random
 from itertools import combinations, permutations
 from math import factorial
-from types import MappingProxyType
 
+import numpy as np
 import pytest
 
 from vandercomplex import (
@@ -15,6 +15,7 @@ from vandercomplex import (
     length2_middles,
     mahonian_distribution,
 )
+from vandercomplex.summands import summand_table
 
 
 def brute_covers(p):
@@ -111,38 +112,17 @@ def test_build_bruhat_matches_covers_everywhere():
 
 
 def test_build_bruhat_cap():
-    with pytest.raises(SizeError, match="cap 6"):
-        build_bruhat(7)
-    assert build_bruhat(7, cap=7).n == 7
+    # the summand table reaches the poset through the same cap
+    for build in (build_bruhat, summand_table):
+        with pytest.raises(SizeError, match="^n=7 exceeds the poset cap 6$"):
+            build(7)
     with pytest.raises(ValidationError):
         build_bruhat(0)
 
 
 def test_build_bruhat_builds_each_n_once():
     assert build_bruhat(5) is build_bruhat(5)
-    assert build_bruhat(4, cap=9) is build_bruhat(4)
-
-
-def test_cached_poset_keeps_the_cap():
-    build_bruhat(7, cap=7)
-    with pytest.raises(SizeError, match="cap 6"):
-        build_bruhat(7)
-
-
-def test_shared_up_covers_are_read_only():
-    poset = build_bruhat(3)
-    assert isinstance(poset.up_covers, MappingProxyType)
-    with pytest.raises(TypeError):
-        poset.up_covers[(1, 2, 3)] = ()
-    assert build_bruhat(3).up_covers[(1, 2, 3)] == ((1, 3, 2), (2, 1, 3))
-
-
-def test_edges_from_level_match_covers():
-    for n in range(1, 6):
-        poset = build_bruhat(n)
-        for k in range(poset.max_rank + 1):
-            expected = [(p, q) for p in poset.levels[k] for q in covers(p)]
-            assert poset.edges_from_level(k) == expected
+    assert build_bruhat(np.int64(4)) is build_bruhat(4.0) is build_bruhat(4)
 
 
 def test_levels_are_lexicographic():

@@ -1,5 +1,6 @@
 import random
 from math import prod
+from operator import itemgetter
 
 import pytest
 
@@ -9,6 +10,8 @@ from vandercomplex import (
     SizeError,
     build_bruhat,
     build_complex,
+    build_matrix_complex,
+    chain_map,
     cochain_dims,
     connected_map,
     euler_characteristic,
@@ -16,6 +19,7 @@ from vandercomplex import (
     inversions,
     order_independence_check,
     random_diagram,
+    random_morphism,
     s_vector,
     tensor_assemble,
     torus_two_n,
@@ -23,6 +27,7 @@ from vandercomplex import (
 )
 from vandercomplex.cochain import _block_matrices, _row_matrices
 from vandercomplex.errors import ValidationError
+from vandercomplex.gendet import random_matrix
 from vandercomplex.gf2 import GF2Matrix
 
 
@@ -323,11 +328,13 @@ def test_blocks_fill_their_own_level():
         pytest.param(((2,), (-1,), (0,), [(1, 2, 4)]), id="negative-step"),
         pytest.param(((0,), (1,), (1,), [(1, 0, 0)]), id="no-choice"),
         pytest.param(((2,), (0,), (0,), [(1, 0, 0)]), id="no-step"),
+        pytest.param(((2, 2), (1, 2), (1, 1), [(1, 0, 0)]), id="overlapping-copies"),
     ],
 )
 def test_blocks_are_checked_against_their_own_level(group):
     # each stays inside the stacked shape, so only a check per block and
-    # level sees it; both assemblers refuse it with the same text
+    # level, or per group's row steps, sees it; both assemblers refuse it
+    # with the same text
     texts = []
     for assemble in ASSEMBLERS:
         with pytest.raises(ValidationError) as refused:
@@ -342,16 +349,30 @@ def test_both_assemblers_refuse_a_level_over_the_byte_ceiling():
             assemble([(2, 2), (294912, 131072)], [((), (), (), [(0, 0, 0)])])
 
 
+def _copies_overlap(factors) -> bool:
+    """Whether, taken by row step, a factor's row step falls within the
+    rows that the smaller steps span."""
+    down = 0
+    for k, _, o in sorted(factors, key=itemgetter(2)):
+        if k > 1 and 0 < o <= down:
+            return True
+        down += (k - 1) * o
+    return False
+
+
 def _random_groups(rng, shapes):
-    """Random groups of up to three factors, steps 0-3 and choices 1-3,
-    with blocks that fit their level: factors whose rows or columns
-    overlap, caps whose shifts cancel, and blocks that overlap."""
+    """Random groups of up to three factors, steps 0-3 and choices 1-3, in
+    no order, whose copies of rows never overlap, with blocks that fit
+    their level: factors whose columns overlap, caps whose shifts cancel,
+    and blocks that overlap."""
     groups = []
     for _ in range(rng.randint(0, 6)):
         factors = []
         for _ in range(rng.randint(0, 3)):
             k, i, o = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 3)
-            factors.append((k, i or (0 if o else 1), o))
+            factor = (k, i or (0 if o else 1), o)
+            if not _copies_overlap(factors + [factor]):
+                factors.append(factor)
         ks, mis, mos = (tuple(f[t] for f in factors) for t in range(3))
         down = sum((k - 1) * o for k, _, o in factors)
         right = sum((k - 1) * i for k, i, _ in factors)
@@ -371,6 +392,28 @@ def test_row_assembler_matches_positions_on_random_groups():
         shapes = [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(rng.randint(1, 3))]
         groups = _random_groups(rng, shapes)
         assert _row_matrices(shapes, groups) == _block_matrices(shapes, groups)
+
+
+def test_real_groups_at_n5_and_n6_never_overlap():
+    # the differentials of matrix and link complexes, and the chain maps
+    # of random endomorphisms, all pass the row-step check of both
+    # assemblers, assemble, square to zero and commute
+    rng = random.Random(19)
+    for n, max_entry, count in ((6, 2, 4), (5, 3, 6)):
+        for _ in range(count):
+            assert build_matrix_complex(random_matrix(n, max_entry, rng)).verify_d_squared()
+    built = 0
+    while built < 6:
+        d = random_diagram(5, rng, free_loops=rng.randint(0, 1))
+        x = tuple(rng.randint(1, 2) for _ in range(5))
+        try:
+            cx = build_complex(d, x, budget=300_000)
+        except SizeError:
+            continue
+        assert cx.verify_d_squared()
+        cm = chain_map(d, random_morphism(rng, x, x, dot_colors=(1, 3)), source_complex=cx)
+        assert any(any(m.ints) for m in cm.blocks) and cm.commutes()
+        built += 1
 
 
 def test_block_requires_a_cover():

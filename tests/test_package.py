@@ -29,6 +29,26 @@ def test_strict_int_refuses_bools_fractions_and_non_numbers(value):
         strict_int(value, "entry")
 
 
+def _verify_torus(budget):
+    return vandercomplex.verify_euler(vandercomplex.torus_two_n(2), (1, 2), budget=budget)
+
+
+@pytest.mark.parametrize(
+    "call, value, what",
+    [
+        pytest.param(vandercomplex.build_bruhat, 2.5, "group size", id="build_bruhat-fraction"),
+        pytest.param(vandercomplex.build_bruhat, True, "group size", id="build_bruhat-bool"),
+        pytest.param(vandercomplex.torus_two_n, "2", "crossing count", id="torus_two_n-str"),
+        pytest.param(vandercomplex.mahonian_distribution, None, "group size", id="mahonian-none"),
+        pytest.param(_verify_torus, None, "budget", id="verify_euler-budget-none"),
+        pytest.param(_verify_torus, 1e9 + 0.5, "budget", id="verify_euler-budget-fraction"),
+    ],
+)
+def test_size_arguments_are_strict_ints(call, value, what):
+    with pytest.raises(ValidationError, match=rf"^{what} must be an integer, got "):
+        call(value)
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports this checkout's package."""
     src = str(Path(vandercomplex.__file__).resolve().parents[1])
