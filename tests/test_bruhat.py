@@ -15,6 +15,7 @@ from vandercomplex import (
     length2_middles,
     mahonian_distribution,
 )
+from vandercomplex.bruhat import N_CAP
 from vandercomplex.summands import summand_table
 
 
@@ -123,6 +124,14 @@ def test_build_bruhat_cap():
 def test_build_bruhat_builds_each_n_once():
     assert build_bruhat(5) is build_bruhat(5)
     assert build_bruhat(np.int64(4)) is build_bruhat(4.0) is build_bruhat(4)
+
+
+def test_cached_poset_keeps_the_cap():
+    # a poset cached at the cap does not let the next size past it
+    assert build_bruhat(N_CAP).n == N_CAP
+    for _ in range(2):
+        with pytest.raises(SizeError, match=f"cap {N_CAP}$"):
+            build_bruhat(N_CAP + 1)
 
 
 def test_levels_are_lexicographic():
