@@ -32,8 +32,10 @@ factor into positions, and builds every level of a complex from one
 of `zndiag` come from the same constant maps, but a block of one is a
 tensor product of small per-color maps, so its rows are shifts of one
 pattern: `_row_matrices` expands each group once into the rows its
-blocks share, laying copies end to end, and XORs them into every block
-with one slice operation, building no positions.  Differentials keep the
+blocks share, laying copies end to end, and lays them into every block
+with one slice operation, building no positions: a block assigns its
+rows where its level's rows are still zero, as every chain-map block
+finds them, and XORs them in elsewhere.  Differentials keep the
 position path, because their blocks measured no faster through the row
 kernel.  Building a complex never imports numpy.
 
@@ -283,10 +285,12 @@ def _row_matrices(shapes, groups) -> list[GF2Matrix]:
     a row step then lays its copies of the rows so far end to end, that
     step apart, each shifted right by its column step (a cup, with no
     column step, repeats them as they are); the checks leave no two copies
-    overlapping.  Each block XORs the rows, shifted to its first column,
-    into its matrix from its first row on, in one slice operation.  XOR,
-    like `from_triplets`, lets blocks overlap and repeated positions
-    cancel.
+    overlapping.  Each block lays the rows, shifted to its first column,
+    into its matrix from its first row on, in one slice operation: it
+    assigns them where those rows are all still zero, and XORs them in
+    otherwise, so that, as with `from_triplets`, blocks may overlap and
+    repeated positions cancel.  The blocks of a chain map never overlap,
+    so they always assign.
     """
     levels = [[0] * rows for rows, _ in shapes]
     for factors, down, blocks in _checked_groups(shapes, groups):
@@ -301,7 +305,9 @@ def _row_matrices(shapes, groups) -> list[GF2Matrix]:
                 shared = [reduce(xor, map(lshift, repeat(shared[0], kf), range(0, kf * i, i)))]
         for lv, r, c in blocks:
             ints = levels[lv]
-            ints[r : r + down + 1] = map(xor, ints[r : r + down + 1], map(lshift, shared, repeat(c)))
+            rows = map(lshift, shared, repeat(c))
+            segment = ints[r : r + down + 1]
+            ints[r : r + down + 1] = map(xor, segment, rows) if any(segment) else rows
     return [_matrix(rows, cols, ints) for (rows, cols), ints in zip(shapes, levels)]
 
 

@@ -8,11 +8,14 @@ one XOR however wide they are, which suits both the sparse differentials
 of large complexes and the many small matrices of chain and induced maps,
 where the fixed cost of a numpy call would be most of the work.  A product
 XORs, for each row of the left factor, the rows of the right factor that
-its set bits select, one set bit at a time; `compose_is_zero` does the
-same row by row and stops at the first nonzero row, never building the
-product.  Only the array accessors `words`, which packs the rows into
-64-bit words, and `to_bool_array` import numpy; every constructor and
-every other accessor works on the row integers and never loads it.
+its set bits select, taking off the highest set bit each time: its index
+is `bit_length() - 1`, so no `x & -x` is built, and a zero row takes no
+step.  `compose_is_zero` does the same row by row and stops at the first
+nonzero row, never building the product, and a transpose walks its rows'
+set bits the same way.  Only the array accessors `words`, which packs
+the rows into 64-bit words, and `to_bool_array` import numpy; every
+constructor and every other accessor works on the row integers and never
+loads it.
 
 There is one elimination rule: a vector is reduced by the stored row at
 its lowest set bit until that bit is free, and then stored there
@@ -199,14 +202,29 @@ class GF2Matrix:
         _check_bytes(self.rows, other.cols)
         if not any(self.ints) or not any(other.ints):
             return _matrix(self.rows, other.cols, [0] * self.rows)
-        return _matrix(self.rows, other.cols, list(_product_rows(self.ints, other.ints)))
+        return _matrix(self.rows, other.cols, _product_rows(self.ints, other.ints))
 
     def compose_is_zero(self, other: "GF2Matrix") -> bool:
         """True iff self @ other is the zero matrix, found row by row
-        without building the product; stops at the first nonzero row."""
+        without building the product; stops at the first nonzero row.
+        Refuses what `@` refuses, with the same error types, except that
+        no byte ceiling applies, since no product is built."""
+        if not isinstance(other, GF2Matrix):
+            raise TypeError(f"compose_is_zero needs a GF2Matrix, got {type(other).__name__}")
         if self.cols != other.rows:
-            raise ValidationError("shape mismatch in composition")
-        return not any(_product_rows(self.ints, other.ints))
+            raise ValidationError(
+                f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
+            )
+        b = other.ints
+        for x in self.ints:
+            acc = 0
+            while x:  # as in _product_rows
+                n = x.bit_length() - 1
+                acc ^= b[n]
+                x ^= 1 << n
+            if acc:
+                return False
+        return True
 
     # -- elimination ----------------------------------------------------
 
@@ -215,16 +233,27 @@ class GF2Matrix:
         return _stored(self.ints)
 
 
-def _product_rows(a: list[int], b: list[int]):
-    """The rows of the product of row ints a and b, one at a time: for
-    each row of a, the XOR of the rows b[j] at its set bits j."""
+def _product_rows(a: list[int], b: list[int]) -> list[int]:
+    """The rows of the product of row ints a and b: for each row of a,
+    the XOR of the rows b[j] at its set bits j, taken from the highest
+    bit down, which `bit_length` finds without building `x & -x`.  A zero
+    row gives 0 at once, and the highest bit's row starts the sum, which
+    is all of it for a single-bit row, the most common nonzero row of
+    chain maps and differentials."""
+    out = []
     for x in a:
-        acc = 0
-        while x:
-            low = x & -x
-            acc ^= b[low.bit_length() - 1]
-            x ^= low
-        yield acc
+        if x:
+            n = x.bit_length() - 1
+            acc = b[n]
+            x ^= 1 << n
+            while x:
+                n = x.bit_length() - 1
+                acc ^= b[n]
+                x ^= 1 << n
+            out.append(acc)
+        else:
+            out.append(0)
+    return out
 
 
 class QuotientSpace:
@@ -354,14 +383,17 @@ def _stored(vectors) -> int:
 
 def _transpose(ints: list[int], width: int) -> list[int]:
     """Bit transpose of ints below 1 << width: entry b has bit i set iff
-    ints[i] has bit b set.  Costs one step per set bit, which suits the
-    sparse tables that differentials give."""
+    ints[i] has bit b set.  Costs one step per set bit, highest first as
+    in `_product_rows`, and none for a zero row, which suits the sparse
+    tables that differentials give."""
     out = [0] * width
     for i, x in enumerate(ints):
-        while x:
-            low = x & -x
-            out[low.bit_length() - 1] |= 1 << i
-            x ^= low
+        if x:
+            bit = 1 << i
+            while x:
+                n = x.bit_length() - 1
+                out[n] |= bit
+                x ^= 1 << n
     return out
 
 

@@ -300,6 +300,7 @@ def random_diagram(n: int, rng, free_loops: int = 0) -> LinkDiagram:
     The 4n crossing ends are matched into 2n arcs; each crossing then gets
     two distinct pairings of its four ends chosen at random.
     """
+    n = strict_int(n, "crossing count")
     if n < 1:
         raise ValidationError("need at least one crossing")
     slots = [(k, e) for k in range(n) for e in range(4)]

@@ -25,6 +25,7 @@ from vandercomplex import (
     torus_two_n,
     verify_euler,
 )
+from vandercomplex import cochain
 from vandercomplex.cochain import _block_matrices, _row_matrices
 from vandercomplex.errors import ValidationError
 from vandercomplex.gendet import random_matrix
@@ -386,12 +387,35 @@ def _random_groups(rng, shapes):
     return groups
 
 
-def test_row_assembler_matches_positions_on_random_groups():
+def test_row_assembler_matches_positions_on_random_groups(monkeypatch):
+    # a block whose rows are still zero assigns its shifted rows, any other
+    # XORs them in; `any` on those rows picks the branch, so counting what
+    # it answers shows that the groups reach both
+    answers = []
+
+    def counted_any(segment):
+        answers.append(any(segment))
+        return answers[-1]
+
+    monkeypatch.setattr(cochain, "any", counted_any, raising=False)
     rng = random.Random(18)
     for _ in range(300):
         shapes = [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(rng.randint(1, 3))]
         groups = _random_groups(rng, shapes)
         assert _row_matrices(shapes, groups) == _block_matrices(shapes, groups)
+    assert answers.count(False) > 100 and answers.count(True) > 100
+
+
+def test_identical_blocks_at_one_place_cancel():
+    # a cup of two copies of a cap of three columns: the block at row 1,
+    # column 3 sets columns 3-5 of rows 1 and 2; an even number of copies
+    # of it cancels, an odd number leaves one
+    group = ((2, 3), (0, 1), (1, 0))
+    for assemble in ASSEMBLERS:
+        for copies in range(5):
+            (level,) = assemble([(4, 8)], [group + ([(0, 1, 3)] * copies,)])
+            block = 0b111000 if copies % 2 else 0
+            assert level.ints == [0, block, block, 0], (assemble.__name__, copies)
 
 
 def test_real_groups_at_n5_and_n6_never_overlap():

@@ -264,8 +264,9 @@ def test_compose_is_zero():
     b = GF2Matrix(2, 2, [0b01, 0b01])
     assert a.compose_is_zero(b)
     assert not a.compose_is_zero(GF2Matrix.identity(2))
-    with pytest.raises(ValidationError):
-        a.compose_is_zero(GF2Matrix.identity(3))
+    for check in (a.compose_is_zero, a.__matmul__):
+        with pytest.raises(ValidationError, match=r"^shape mismatch: 2x2 @ 3x3$"):
+            check(GF2Matrix.identity(3))
     # against the naive product, at word-boundary widths and zero rows, on
     # random right factors and on right factors built from the kernel
     rng = random.Random(18)
@@ -522,8 +523,67 @@ def test_matmul_with_a_non_matrix_raises_type_error():
     for other in (3, None, [[1, 0], [0, 1]]):
         with pytest.raises(TypeError):
             m @ other
+        with pytest.raises(TypeError, match=r"^compose_is_zero needs a GF2Matrix, got "):
+            m.compose_is_zero(other)
     with pytest.raises(TypeError):
         3 @ m
+
+
+def random_row_ints(rng, rows, cols):
+    """Row ints below 1 << cols, each a zero row, one bit, the top bit
+    alone, a sparse row or a dense one."""
+    draws = (
+        lambda: 0,
+        lambda: 1 << rng.randrange(cols),
+        lambda: 1 << cols - 1,
+        lambda: rng.getrandbits(cols) & rng.getrandbits(cols) & rng.getrandbits(cols),
+        lambda: rng.getrandbits(cols),
+    )
+    return [rng.choice(draws if cols else draws[:1])() for _ in range(rows)]
+
+
+def naive_transpose_ints(ints, width):
+    """Entry b has bit i set iff ints[i] has bit b set, read bit by bit."""
+    return [sum((x >> b & 1) << i for i, x in enumerate(ints)) for b in range(width)]
+
+
+def naive_product_ints(a, b, cols):
+    """Entry (i, j) of the product as the parity of row i of a and column j of b."""
+    columns = naive_transpose_ints(b, cols)
+    return [sum((bin(x & c).count("1") & 1) << j for j, c in enumerate(columns)) for x in a]
+
+
+# (rows, inner, cols) of two factors: no rows, no inner entries and no
+# columns, single entries, the 64-bit word boundary, and rows of 1,000 bits
+# on the left and on the right
+KERNEL_SHAPES = [
+    (0, 5, 7), (5, 0, 7), (5, 7, 0), (0, 0, 0), (1, 1, 1),
+    (9, 64, 65), (7, 65, 130), (3, 1000, 200), (40, 200, 1000),
+]
+
+
+def test_kernels_match_naive_references_on_random_row_ints():
+    rng = random.Random(20)
+    for rows, inner, cols in KERNEL_SHAPES:
+        for _ in range(4):
+            a = GF2Matrix(rows, inner, random_row_ints(rng, rows, inner))
+            b = GF2Matrix(inner, cols, random_row_ints(rng, inner, cols))
+            product = naive_product_ints(a.ints, b.ints, cols)
+            assert gf2._product_rows(a.ints, b.ints) == product
+            assert (a @ b).ints == product
+            assert a.compose_is_zero(b) == (not any(product))
+            assert gf2._transpose(a.ints, inner) == naive_transpose_ints(a.ints, inner)
+            assert gf2._transpose(b.ints, cols) == naive_transpose_ints(b.ints, cols)
+            # a left factor that selects only zero rows of b composes to
+            # zero; one more bit in its last row, on a nonzero row of b, does not
+            zero_rows = sum(1 << k for k, y in enumerate(b.ints) if not y)
+            quiet = GF2Matrix(rows, inner, [x & zero_rows for x in a.ints])
+            assert quiet.compose_is_zero(b) and not any((quiet @ b).ints)
+            nonzero = [k for k, y in enumerate(b.ints) if y]
+            if rows and nonzero:
+                last = GF2Matrix(rows, inner, quiet.ints[:-1] + [quiet.ints[-1] | 1 << rng.choice(nonzero)])
+                assert not last.compose_is_zero(b)
+                assert (last @ b).ints == naive_product_ints(last.ints, b.ints, cols)
 
 
 def test_constructor_checks_the_row_count():

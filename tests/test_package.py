@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,10 @@ def _verify_torus(budget):
     return vandercomplex.verify_euler(vandercomplex.torus_two_n(2), (1, 2), budget=budget)
 
 
+def _random_diagram(n):
+    return vandercomplex.random_diagram(n, random.Random(0))
+
+
 @pytest.mark.parametrize(
     "call, value, what",
     [
@@ -42,6 +47,9 @@ def _verify_torus(budget):
         pytest.param(vandercomplex.mahonian_distribution, None, "group size", id="mahonian-none"),
         pytest.param(_verify_torus, None, "budget", id="verify_euler-budget-none"),
         pytest.param(_verify_torus, 1e9 + 0.5, "budget", id="verify_euler-budget-fraction"),
+        pytest.param(_random_diagram, 2.5, "crossing count", id="random_diagram-fraction"),
+        pytest.param(_random_diagram, "3", "crossing count", id="random_diagram-str"),
+        pytest.param(_random_diagram, True, "crossing count", id="random_diagram-bool"),
     ],
 )
 def test_size_arguments_are_strict_ints(call, value, what):
