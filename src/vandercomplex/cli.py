@@ -17,7 +17,7 @@ import sys
 from time import perf_counter
 
 from .checks import run_all
-from .cochain import DEFAULT_DIM_BUDGET, verify_euler
+from .cochain import DEFAULT_DIM_BUDGET, build_complex, verify_euler
 from .errors import FormatError, SizeError, ValidationError, VanderComplexError
 from .gendet import matrix_report, parse_matrix
 from .linkdiag import parse_diagram, torus_two_n
@@ -41,12 +41,12 @@ def _integer(text: str) -> int:
 
 
 def _parse_colors(text: str) -> tuple[int, ...]:
-    """Comma-separated ASCII integers; int() alone would also take `1_0`,
-    spaces and non-ASCII digits."""
-    parts = text.split(",")
-    if not all(_INTEGER.fullmatch(part) for part in parts):
-        raise ValidationError(f"--x must be a comma-separated integer list, got {text!r}")
-    return tuple(map(int, parts))
+    """Comma-separated integers, each read as `_integer` reads a flag; int()
+    raises ValueError past the interpreter's digit limit."""
+    try:
+        return tuple(map(_integer, text.split(",")))
+    except (argparse.ArgumentTypeError, ValueError):
+        raise ValidationError(f"--x must be a comma-separated integer list, got {text!r}") from None
 
 
 def _read(path: str) -> str:
@@ -95,6 +95,19 @@ def build_parser() -> _Parser:
 
 
 def _emit_report(report, command: str, as_json: bool) -> int:
+    """Print a report in full: the interpreter's limit on int-to-str digits
+    (Python 3.10.7 and 3.11 on) is lifted while it prints."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _print_report(report, command, as_json)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _print_report(report, command: str, as_json: bool) -> int:
     payload = {"command": command, **report.to_dict()}
     if as_json:
         print(json.dumps(payload, indent=2))
@@ -148,7 +161,9 @@ def _cmd_zmap(args) -> int:
     d = torus_two_n(args.n) if args.n is not None else parse_diagram(_read(args.diagram))
     morphism = parse_morphism(_read(args.file))
     t0 = perf_counter()
-    cm = chain_map(d, morphism, budget=args.budget)
+    cx = build_complex(d, morphism.source, budget=args.budget)
+    cy = cx if morphism.target == morphism.source else build_complex(d, morphism.target, budget=args.budget)
+    cm = chain_map(d, morphism, source_complex=cx, target_complex=cy)
     commutes = cm.commutes()
     induced = None
     if commutes and not args.skip_homology:

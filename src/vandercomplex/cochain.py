@@ -18,26 +18,16 @@ unit-after-counit.
 
 Every such block is a sum of independent factors, one or two per
 position: a factor with k choices j adds j times its input and output
-steps to the pair's column and row.  The block layouts are tuples of
-Python ints, blocks with the same digits sharing one, and assembly is
-plain Python: the callers group the blocks that share factors, and
-`_checked_groups` checks every level against the byte ceiling, every
-factor, and each block's first and last positions against its own level.
-It also orders each group's factors by row step and refuses a row step
-that falls within the rows the smaller steps span, so the copies a factor
-makes of those rows never overlap; differential and chain-map groups
-alike meet this.  `_block_matrices` then expands each group factor by
-factor into positions, and builds every level of a complex from one
-`from_triplets` call on the positions stacked by level.  The chain maps
-of `zndiag` come from the same constant maps, but a block of one is a
-tensor product of small per-color maps, so its rows are shifts of one
-pattern: `_row_matrices` expands each group once into the rows its
-blocks share, laying copies end to end, and lays them into every block
-with one slice operation, building no positions: a block assigns its
-rows where its level's rows are still zero, as every chain-map block
-finds them, and XORs them in elsewhere.  Differentials keep the
-position path, because their blocks measured no faster through the row
-kernel.  Building a complex never imports numpy.
+steps to the pair's column and row.  Blocks with the same digits share
+one layout, the callers group the blocks that share factors, and
+`_checked_groups` checks every group against its level before anything
+is built.  Differentials expand each group into positions
+(`_block_matrices`).  The chain maps of `zndiag` come from the same
+constant maps, but a block of one is a tensor product of small per-color
+maps, so `_row_matrices` expands each group once into the rows its blocks
+share and lays them into every block with one slice operation.
+Differentials keep the position path, because their blocks measured no
+faster through the row kernel.  Building a complex never imports numpy.
 
 Circle identity across different smoothings is never needed: a changed
 color factor depends only on the two circle counts.
@@ -375,12 +365,13 @@ def _assemble(n: int, digits_for, *, merge_split: bool, budget: int, **fields) -
 
 
 def _colors_and_s(d: LinkDiagram, x) -> tuple[ColorVector, tuple[int, ...]]:
-    """Validated colors and the diagram's s-vector, one color per crossing."""
+    """Validated colors, one per crossing, then the n cap, then the diagram's s-vector."""
     xs = validate_colors(x)
     if len(xs) != d.n:
         raise PreconditionError(
             f"color vector length {len(xs)} does not match crossing count {d.n}"
         )
+    build_bruhat(d.n)
     return xs, s_vector(d)
 
 
@@ -507,26 +498,22 @@ def verify_euler(
 class OrderIndependenceResult:
     """Outcome of rebuilding under a crossing reordering.
 
-    height_uniform is None when the 2^n smoothing scan was over its cap
-    (`linkdiag.SMOOTHING_CAP`).
     For diagrams that are not height uniform, equal is a plain comparison
     with no structural guarantee behind it.
     """
 
     equal: bool
-    height_uniform: bool | None
+    height_uniform: bool
 
 
 def order_independence_check(d: LinkDiagram, x, reordering) -> OrderIndependenceResult:
     """Rebuild with reordered crossings and compare complexes bit for bit,
-    each build under build_complex's default budget."""
-    try:
-        uniform, _ = is_height_uniform(d)
-    except SizeError:
-        uniform = None
+    each build under build_complex's default budget.  The builds refuse n
+    past `bruhat.N_CAP` before is_height_uniform scans 2^n smoothings."""
     base = build_complex(d, x)
     other = build_complex(d.reordered(reordering), x)
     equal = base.level_dims == other.level_dims and all(
         a == b for a, b in zip(base.differentials, other.differentials)
     )
+    uniform, _ = is_height_uniform(d)
     return OrderIndependenceResult(equal=equal, height_uniform=uniform)

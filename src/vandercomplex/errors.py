@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the strict integer check."""
+"""Exception types shared across the package, the strict integer check and the JSON reader."""
 
+import json
 from numbers import Integral
 
 
@@ -51,3 +52,13 @@ def strict_int(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def read_json(text: str, what: str):
+    """The JSON value of an input file's text.  Bad syntax, nesting too deep
+    for the decoder and integers past the interpreter's digit limit all
+    raise a FormatError naming `what`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{what} file is not valid JSON: {exc}") from exc

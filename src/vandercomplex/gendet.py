@@ -21,7 +21,6 @@ color-independent summands as the link complexes (see `summands`);
 matrix_report takes its cohomology from them.
 """
 
-import json
 from dataclasses import dataclass
 from itertools import permutations
 from math import prod
@@ -36,7 +35,7 @@ from .cochain import (
     check_budget,
     euler_characteristic,
 )
-from .errors import FormatError, PreconditionError, SizeError, ValidationError, strict_int
+from .errors import FormatError, PreconditionError, SizeError, ValidationError, read_json, strict_int
 from .summands import homology_dims
 
 EXPANSION_CAP = 12  # the largest n whose n! terms det_permutation_expansion sums
@@ -121,10 +120,7 @@ def vandermonde_matrix(x, s) -> PosIntMatrix:
 
 def parse_matrix(text: str) -> PosIntMatrix:
     """Read the matrix file format: an object with a "matrix" row list."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"matrix file is not valid JSON: {exc}") from exc
+    data = read_json(text, "matrix")
     if not isinstance(data, dict) or "matrix" not in data:
         raise FormatError('matrix file must be an object with a "matrix" field')
     rows = data["matrix"]
@@ -202,8 +198,7 @@ def matrix_report(
     As in verify_euler, the dimensions come from the counting formula and
     the cohomology, unless skip_homology is set, from the summands C(N, j),
     each occurring prod_{i in N} (m[i][j_i] - 1) times; n is capped at
-    `bruhat.N_CAP`, and budget is checked on the total dimension
-    first.
+    `bruhat.N_CAP`, and budget is checked on the total dimension first.
     """
     factors = [[1] + [v - 1 for v in row] for row in m.entries]
     return _grid_report(m.entries, factors, skip_homology, budget)

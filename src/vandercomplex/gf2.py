@@ -160,7 +160,7 @@ class GF2Matrix:
         return [list(map(int, _bit_string(x, self.cols))) for x in self.ints]
 
     def to_bool_array(self) -> np.ndarray:
-        """Unpacked bits; meant for small matrices (tests, tensor assembly)."""
+        """Unpacked bits; meant for small matrices (tests and the benchmark gate)."""
         import numpy as np
 
         if self.rows * self.cols > (1 << 28):

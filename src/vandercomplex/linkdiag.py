@@ -25,6 +25,7 @@ from .errors import (
     SizeError,
     StructureError,
     ValidationError,
+    read_json,
     strict_int,
 )
 
@@ -157,10 +158,7 @@ def parse_diagram(text: str) -> LinkDiagram:
     and "one" pairings as [[a,b],[c,d]], and an optional "free_loops"
     count.  List order is the crossing ordering.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"diagram file is not valid JSON: {exc}") from exc
+    data = read_json(text, "diagram")
     if not isinstance(data, dict) or "crossings" not in data:
         raise FormatError('diagram file must be an object with a "crossings" list')
     raw = data["crossings"]

@@ -18,8 +18,7 @@ of the two complexes, like a differential, but is assembled by row
 (`cochain._row_matrices`): block b of one complex faces block b of the
 other, and the rows of a block are shifts of one pattern, the caps'
 column shifts folded into it by XOR and repeated down the rows by the
-arcs and cups.  Differentials keep the position path, which measured as
-fast for them.
+arcs and cups.
 
 Composition concatenates arcs through shared middle points.  A middle
 point matched on neither side leaves a closed cap-cup component behind;
@@ -27,13 +26,11 @@ it is recorded as a dot of that point's color, which is exactly what
 makes the induced maps compose on the nose.
 """
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
 from .cochain import (
-    DEFAULT_DIM_BUDGET,
     CochainComplex,
     _row_matrices,
     build_complex,
@@ -46,6 +43,7 @@ from .errors import (
     MembershipError,
     PreconditionError,
     ValidationError,
+    read_json,
     strict_int,
 )
 from .gf2 import GF2Matrix, QuotientSpace, reduce_columns
@@ -115,10 +113,7 @@ class ZndiagMorphism:
 
     def sphere_factor(self) -> int:
         """The scalar all dots contribute: product of colors mod 2."""
-        out = 1
-        for c in self.dots:
-            out = (out * c) % 2
-        return out
+        return int(all(c % 2 for c in self.dots))
 
 
 def validate_morphism(m: ZndiagMorphism) -> ZndiagMorphism:
@@ -167,10 +162,7 @@ def compose(a: ZndiagMorphism, b: ZndiagMorphism) -> ZndiagMorphism:
 
 def parse_morphism(text: str) -> ZndiagMorphism:
     """Read the morphism file format: source, target, arcs, dots."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"morphism file is not valid JSON: {exc}") from exc
+    data = read_json(text, "morphism")
     if not isinstance(data, dict) or "source" not in data or "target" not in data:
         raise FormatError('morphism file must carry "source" and "target" lists')
     fields = [data["source"], data["target"], data.get("arcs", []), data.get("dots", [])]
@@ -204,22 +196,22 @@ def chain_map(
     *,
     source_complex: CochainComplex | None = None,
     target_complex: CochainComplex | None = None,
-    budget: int = DEFAULT_DIM_BUDGET,
 ) -> ChainMap:
     """Assemble the per-level matrices induced by a strip diagram.
 
     An endomorphism without a prebuilt target maps the source complex to
-    itself.  A complex that is not prebuilt is built under budget (see
-    build_complex; n is capped at `bruhat.N_CAP`).
+    itself.  A complex that is not prebuilt is built by build_complex under
+    its default budget (n is capped at `bruhat.N_CAP`); pass prebuilt
+    complexes to build under another budget.
     """
     if m.n != d.n:
         raise PreconditionError(
             f"morphism is between vectors of length {m.n}, diagram has {d.n} crossings"
         )
-    cx = source_complex or build_complex(d, m.source, budget=budget)
+    cx = source_complex or build_complex(d, m.source)
     if target_complex is None and m.target == m.source:
         target_complex = cx
-    cy = target_complex or build_complex(d, m.target, budget=budget)
+    cy = target_complex or build_complex(d, m.target)
     if cx.colors != m.source or cy.colors != m.target:
         raise PreconditionError("prebuilt complexes do not match the morphism ends")
     if cx.s != cy.s:

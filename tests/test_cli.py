@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
-from vandercomplex import format_diagram, torus_two_n
+from vandercomplex import cochain_dims, format_diagram, torus_two_n
+from vandercomplex.checks import product_formula
 from vandercomplex.cli import main
 
 
@@ -108,6 +110,9 @@ def test_unreadable_file_exits_1(capsys, tmp_path):
 
 
 _TORUS2 = json.loads(format_diagram(torus_two_n(2)))
+# past the interpreter's 4,300-digit limit on str-to-int conversion
+_BIG = "9" * 5000
+_DEEP = "[" * 100_000
 _BAD_X = {
     "underscore": "1_0,2",
     "arabic-indic-digit": "\u0663,2",
@@ -115,6 +120,7 @@ _BAD_X = {
     "superscript-digit": "\u00b2,2",
     "empty-entry": "1,,2",
     "double-sign": "+-1,2",
+    "5000-digits": "1," + _BIG,
 }
 # --n, --budget and --seed take ASCII [+-]?[0-9]+ only, like --x
 _BAD_INT = {
@@ -144,6 +150,11 @@ _BAD_INT = {
         # --x takes ASCII [+-]?[0-9]+ entries only, unlike int()
         *(pytest.param(f"torus --n 2 --x {x}", None, id=f"torus-x-{name}") for name, x in _BAD_X.items()),
         *(pytest.param(line, None, id=name) for name, line in _BAD_INT.items()),
+        # files the JSON decoder refuses by recursion depth or digit count
+        *(pytest.param(command, _DEEP, id=f"{command}-deep-nesting") for command in ("matrix", "zmap", "diagram")),
+        pytest.param("matrix", '{"matrix": [[%s]]}' % _BIG, id="matrix-5000-digits"),
+        pytest.param("zmap", '{"source": [%s, 1], "target": [1, 1]}' % _BIG, id="zmap-5000-digits"),
+        pytest.param("diagram", json.dumps(_TORUS2)[:-1] + ', "free_loops": %s}' % _BIG, id="diagram-5000-digits"),
     ],
 )
 def test_malformed_numbers_exit_1(capsys, tmp_path, command, payload):
@@ -151,7 +162,7 @@ def test_malformed_numbers_exit_1(capsys, tmp_path, command, payload):
     command, *argv = command.split()
     if payload is not None:
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         extra = {"matrix": [], "zmap": ["--n", "2"], "diagram": ["--x", "1,2"]}[command]
         argv += ["--file", str(path), *extra]
     code, out, err = run(capsys, command, *argv)
@@ -163,6 +174,27 @@ def test_malformed_numbers_exit_1(capsys, tmp_path, command, payload):
         assert "must be an integer in ASCII digits" in err
     elif argv[0] != "--file":
         assert "must be a positive integer" in err
+
+
+def test_colors_past_the_digit_limit_print_in_full(capsys):
+    # six 701-digit colors give 14,700-digit cochain dimensions
+    x = tuple(10**700 + i for i in range(1, 7))
+    argv = ["torus", "--n", "6", "--x", ",".join(map(str, x)), "--skip-homology"]
+    limit = sys.get_int_max_str_digits()
+    text = run(capsys, *argv)
+    as_json = run(capsys, *argv, "--json")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        dims = cochain_dims(torus_two_n(6), x)
+        for code, out, err in (text, as_json):
+            assert code == 0 and err == ""
+        assert f"cochain dims:         {dims}" in text[1]
+        assert f"determinant:          {product_formula(x)}" in text[1]
+        payload = json.loads(as_json[1])
+        assert payload["cochain_dims"] == dims and payload["determinant"] == product_formula(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_budget_error_exits_1(capsys):

@@ -16,6 +16,7 @@ from vandercomplex import (
     connected_map,
     euler_characteristic,
     homology,
+    identity_morphism,
     inversions,
     order_independence_check,
     random_diagram,
@@ -272,6 +273,31 @@ def test_order_independence_flags_non_uniform():
     uniform, _ = __import__("vandercomplex").is_height_uniform(d)
     res = order_independence_check(d, (1, 1, 2), (1, 2, 3))
     assert res.height_uniform == uniform
+
+
+def _refuse(d):
+    raise AssertionError("input-dependent work ran for n over the cap")
+
+
+def test_n_over_the_cap_is_refused_before_the_s_vector(monkeypatch):
+    # the s-vector is quadratic in n, so the n cap comes first on every route
+    monkeypatch.setattr(cochain, "s_vector", _refuse)
+    d, x = torus_two_n(7), (1,) * 7
+    for call in (
+        lambda: verify_euler(d, x),
+        lambda: verify_euler(d, x, skip_homology=True),
+        lambda: build_complex(d, x),
+        lambda: cochain_dims(d, x),
+        lambda: chain_map(d, identity_morphism(x)),
+    ):
+        with pytest.raises(SizeError, match=r"^n=7 exceeds the poset cap 6$"):
+            call()
+
+
+def test_order_independence_refuses_n_over_the_cap_before_the_smoothing_scan(monkeypatch):
+    monkeypatch.setattr(cochain, "is_height_uniform", _refuse)
+    with pytest.raises(SizeError, match=r"^n=7 exceeds the poset cap 6$"):
+        order_independence_check(torus_two_n(7), (1,) * 7, (7, 6, 5, 4, 3, 2, 1))
 
 
 def test_basis_index_round_trip():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 from functools import reduce
+from itertools import product
 from operator import xor
 
 import pytest
@@ -29,7 +30,7 @@ from vandercomplex import (
     torus_two_n,
     validate_morphism,
 )
-from vandercomplex import cochain, gf2, zndiag
+from vandercomplex import cli, cochain, gf2, zndiag
 from vandercomplex.cli import main
 from vandercomplex.gf2 import GF2Matrix
 
@@ -172,9 +173,11 @@ def test_chain_maps_from_rows_equal_chain_maps_from_positions(monkeypatch):
         y = tuple(xi if rng.random() < 0.6 else rng.randint(1, 3) for xi in x)
         m = random_morphism(rng, x, y, dot_colors=(1, 2, 3, 5))
         try:
-            cm = chain_map(d, m, budget=4000)
+            cx = build_complex(d, x, budget=4000)
+            cy = cx if y == x else build_complex(d, y, budget=4000)
         except SizeError:
             continue
+        cm = chain_map(d, m, source_complex=cx, target_complex=cy)
         with monkeypatch.context() as patched:
             patched.setattr(zndiag, "_row_matrices", cochain._block_matrices)
             ref = chain_map(d, m, source_complex=cm.source, target_complex=cm.target)
@@ -188,6 +191,57 @@ def test_chain_maps_from_rows_equal_chain_maps_from_positions(monkeypatch):
             seen.update("cup" for j in range(1, n + 1) if j not in m.arc_by_target())
             seen.add(f"n={n}")
     assert seen >= {"nonzero", "zero", "odd dots", "even dot", "moving arc", "cap", "cup", "n=3", "n=4"}
+
+
+def reference_chain_map(cx, cy, m) -> list[GF2Matrix]:
+    """m's chain map from its definition, one source basis element at a
+    time: on block p, an arc that stays put copies its digits, a moving arc
+    sends a constant string to the same constant at its target, a cap sends
+    a constant string to 1, a cup puts out the sum of all constant strings,
+    a nonconstant string at a moving arc or a cap gives zero, and so does
+    an even dot."""
+    by_src, by_tgt = m.arc_by_source(), m.arc_by_target()
+    moved = [i for i in range(m.n) if by_src.get(i + 1) != i + 1]  # moving arcs and caps
+    out = []
+    for k, (rows, cols) in enumerate(zip(cy.level_dims, cx.level_dims)):
+        ints = [0] * rows
+        for col in range(cols):
+            p, digits = cx.basis_label(k, col)
+            if not m.sphere_factor() or any(len(set(digits[i])) > 1 for i in moved):
+                continue
+            width = [cy.s[v - 1] for v in p]  # digits per position of block p
+            choices = [[(a,) * width[j] for a in range(1, cy.colors[j] + 1)] for j in range(m.n)]
+            for i, j in m.arcs:
+                choices[j - 1] = [digits[i - 1] if i == j else digits[i - 1][:1] * width[j - 1]]
+            for target in product(*choices):
+                ints[cy.basis_index(p, target)[1]] ^= 1 << col
+        out.append(GF2Matrix(rows, cols, ints))
+    return out
+
+
+def test_chain_map_blocks_follow_the_definition():
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        d = random_diagram(n, rng)
+        x = tuple(rng.randint(1, 3) for _ in range(n))
+        # a shuffled target makes arcs that move more likely
+        y = tuple(rng.sample(x, n)) if rng.random() < 0.5 else tuple(rng.randint(1, 3) for _ in x)
+        m = random_morphism(rng, x, y)
+        try:
+            cx = build_complex(d, x, budget=3000)
+            cy = cx if y == x else build_complex(d, y, budget=3000)
+        except SizeError:
+            continue
+        blocks = chain_map(d, m, source_complex=cx, target_complex=cy).blocks
+        assert list(blocks) == reference_chain_map(cx, cy, m), m
+        seen.add("odd dots" if m.sphere_factor() else "even dot")
+        if any(any(b.ints) for b in blocks):  # color 1 has a single digit value
+            seen.update("arc that stays put" if i == j else "moving arc" for i, j in m.arcs if x[i - 1] > 1)
+            seen.update("cap" for i in range(1, n + 1) if i not in m.arc_by_source() and x[i - 1] > 1)
+            seen.update("cup" for j in range(1, n + 1) if j not in m.arc_by_target() and y[j - 1] > 1)
+    assert seen == {"odd dots", "even dot", "arc that stays put", "moving arc", "cap", "cup"}
 
 
 def test_chain_map_functor_law():
@@ -357,15 +411,16 @@ def test_induced_map_from_checks_quotient_lists():
 
 
 def test_endomorphisms_build_complex_and_quotients_once(monkeypatch, capsys, tmp_path):
+    # the zmap command builds its complexes itself, under --budget
     calls = {"build_complex": 0, "cohomology_quotients": 0}
-    for name in calls:
-        original = getattr(zndiag, name)
+    for module, name in [(zndiag, "build_complex"), (cli, "build_complex"), (zndiag, "cohomology_quotients")]:
+        original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(zndiag, name, counted)
+        monkeypatch.setattr(module, name, counted)
     path = tmp_path / "m.json"
     ident = {"source": [1, 2, 2, 2], "target": [1, 2, 2, 2], "arcs": [[i, i] for i in range(1, 5)]}
     path.write_text(json.dumps(ident))
