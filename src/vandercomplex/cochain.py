@@ -306,12 +306,25 @@ def _swap(kept, swapped, i: int, j: int) -> tuple:
     return kept[:i] + swapped[i : i + 1] + kept[i + 1 : j] + swapped[j : j + 1] + kept[j + 1 :]
 
 
+def _decimal(value: int) -> str:
+    """value in decimal, or its digit count past 80 digits: str() of an int
+    past the interpreter's digit limit (4,300 digits by default) raises
+    ValueError."""
+    magnitude = abs(value)
+    if magnitude < 10**80:
+        return str(value)
+    digits = int(magnitude.bit_length() * 0.30103)  # at most the digit count
+    while 10**digits <= magnitude:
+        digits += 1
+    return f"{'below zero, ' if value < 0 else ''}of {digits:,} digits"
+
+
 def check_budget(dims, budget: int) -> None:
     """Refuse a complex whose total dimension is over the basis budget."""
     budget = strict_int(budget, "budget")
     total = sum(dims)
     if total > budget:
-        raise SizeError(f"total dimension {total} exceeds the budget {budget}")
+        raise SizeError(f"total dimension {_decimal(total)} exceeds the budget {_decimal(budget)}")
 
 
 def _assemble(n: int, digits_for, *, merge_split: bool, budget: int, **fields) -> CochainComplex:

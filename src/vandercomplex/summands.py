@@ -26,12 +26,13 @@ base n + 1, and the key leads to a row id; equal rows are stored once, so
 the 13,327 sets of S_6 share 234 distinct rows.  A row is filled the first
 time a complex needs its set.  `homology_dims` walks the constraint sets
 whose multiplicity is nonzero, adds each one's multiplicity to its row id,
-and sums the distinct rows with those weights.  Rows and sums are Python
-integers, so the sums are exact at any size.
+and sums only the distinct rows it reached, with those weights, so its
+cost follows the sets a complex reaches and not the size of the table.
+Rows and sums are Python integers, so the sums are exact at any size.
 """
 
 from itertools import permutations
-from operator import mul
+from operator import itemgetter, mul
 
 from .bruhat import BruhatPoset, Perm, build_bruhat
 from .errors import ConsistencyError
@@ -158,37 +159,52 @@ def homology_dims(factors, cochain_dims) -> list[int]:
     the product of its positions' factors times.  The walk over positions
     keeps a running product and drops a branch at a zero factor or a value
     already held, so only the sets that occur are reached and filled.
-    Each set is carried as its integer key and looked up in the table's
-    ids, being decoded and filled only on a miss; its multiplicity goes to
-    its row id, so each distinct row is summed once (234 distinct rows
-    serve the 13,327 sets of S_6).
+    Each set is carried as its integer key.  Positions 0 .. n - 2 are
+    walked level by level; the last one is folded into a single pass that
+    looks each key up in the table's ids, decoding and filling it only on
+    a miss, and adds its multiplicity to its row id.  Only the distinct
+    rows reached are summed, each once (a call often reaches fewer than
+    20 of the 234 distinct rows of S_6), level by level.
     cochain_dims are the complex's level dimensions from the counting
     formula: the summed summand dimensions must reproduce them, or
     ConsistencyError is raised.
     """
     n = len(factors)
     table = summand_table(n)
-    # (key, multiplicity, held values as bits); a free position holds no bit
+    # per position, (value, factor, value as a bit) of its nonzero factors;
+    # a free position holds no bit
+    *choices, last = [
+        [(j, f, 1 << j if j else 0) for j, f in enumerate(factor) if f] for factor in factors
+    ]
+    # (key, multiplicity, held values as bits) over positions 0 .. n - 2
     reached: list[tuple[int, int, int]] = [(0, 1, 0)]
-    for factor in factors:
-        choices = [(j, f, 1 << j if j else 0) for j, f in enumerate(factor) if f]
+    for position in choices:
         reached = [
             (key * (n + 1) + j, weight * f, held | bit)
             for key, weight, held in reached
-            for j, f, bit in choices
+            for j, f, bit in position
             if not held & bit
         ]
     ids = table.ids
-    for key, _, _ in reached:
-        if key not in ids:
-            table.row_id(key)
-    weights = [0] * len(table.rows)
-    for key, weight, _ in reached:
-        weights[ids[key]] += weight
-    rows = table.rows.values()  # in id order
-    zero = [0] * (table.poset.max_rank + 1)  # the sums when no set occurs
-    dims = [sum(map(mul, weights, column)) for column in zip(*(d for d, _ in rows))] or zero
-    hom = [sum(map(mul, weights, column)) for column in zip(*(h for _, h in rows))] or zero
+    weights: dict[int, int] = {}  # row id -> summed multiplicity, in the order reached
+    for key, weight, held in reached:
+        key *= n + 1
+        for j, f, bit in last:
+            if not held & bit:
+                i = ids.get(key + j)
+                if i is None:
+                    i = table.row_id(key + j)
+                weights[i] = weights.get(i, 0) + weight * f
+    # each level is read with itemgetter, not zip(*rows): zip builds a column
+    # tuple per level of the reached-row count, often under 20, and CPython
+    # keeps freed tuples of those sizes on free lists, which raised peak RSS
+    rows = [table.rows[i] for i in weights]
+    dim_rows = [d for d, _ in rows]
+    hom_rows = [h for _, h in rows]
+    multiplicities = list(weights.values())
+    levels = range(table.poset.max_rank + 1)
+    dims = [sum(map(mul, multiplicities, map(itemgetter(k), dim_rows))) for k in levels]
+    hom = [sum(map(mul, multiplicities, map(itemgetter(k), hom_rows))) for k in levels]
     if dims != list(cochain_dims):
         raise ConsistencyError(
             f"summand dimensions {dims} do not reproduce the cochain dimensions {list(cochain_dims)}"

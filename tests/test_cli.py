@@ -202,6 +202,13 @@ def test_budget_error_exits_1(capsys):
     assert code == 1 and "budget" in err
 
 
+def test_budget_error_past_the_digit_limit_exits_1(capsys):
+    x = ",".join(str(10**700 + i) for i in range(1, 7))
+    code, out, err = run(capsys, "torus", "--n", "6", "--x", x)
+    assert code == 1 and out == ""
+    assert err == "error: total dimension of 14,703 digits exceeds the budget 10000000\n"
+
+
 @pytest.mark.parametrize("skip", [(), ("--skip-homology",)])
 def test_n_over_the_cap_exits_1(capsys, tmp_path, skip):
     path = tmp_path / "ones7.json"

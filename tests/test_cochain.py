@@ -86,6 +86,16 @@ def test_budget_error_reports_total():
         build_complex(torus_two_n(3), (1, 2, 3), budget=50)
 
 
+def test_budget_error_past_the_digit_limit():
+    # six 701-digit colors give a 14,703-digit total, past the interpreter's
+    # 4,300-digit int-to-str limit: the refusal gives its digit count
+    x = tuple(10**700 + i for i in range(1, 7))
+    with pytest.raises(SizeError, match=r"^total dimension of 14,703 digits exceeds the budget 10000000$"):
+        verify_euler(torus_two_n(6), x)
+    with pytest.raises(SizeError, match=r"^total dimension 11 exceeds the budget below zero, of 5,001 digits$"):
+        cochain.check_budget([10, 1], -(10**5000))
+
+
 def test_byte_ceiling_refuses_before_assembly(monkeypatch):
     # inside the basis budget, but the 294912x131072 differential d^1
     # would need more packed bytes than gf2.MAX_MATRIX_BYTES
