@@ -9,25 +9,24 @@ deterministic order.
 
 A cover edge contributes one block of the differential: identity on the
 colors whose smoothing does not change, and the connected merge-split map
-on the two colors that do.  Because the connected map only passes
-constant colorings through, each basis column has at most one output per
-cover edge, so the differentials assemble directly as sparse positions
-and become bit matrices, one integer per row, at the end.  The same
-assembler builds the matrix complexes of `gendet`, which swap in
-unit-after-counit.
+on the two colors that do, so each basis column has at most one output
+per cover edge.  The matrix complexes of `gendet` swap in
+unit-after-counit, and the chain maps of `zndiag` are maps of the same
+kind, block b onto block b, with arcs that move, caps and cups.
 
-Every such block is a sum of independent factors, one or two per
-position: a factor with k choices j adds j times its input and output
-steps to the pair's column and row.  Blocks with the same digits share
-one layout, the callers group the blocks that share factors, and
-`_checked_groups` checks every group against its level before anything
-is built.  Differentials expand each group into positions
-(`_block_matrices`).  The chain maps of `zndiag` come from the same
-constant maps, but a block of one is a tensor product of small per-color
-maps, so `_row_matrices` expands each group once into the rows its blocks
-share and lays them into every block with one slice operation.
-Differentials keep the position path, because their blocks measured no
-faster through the row kernel.  Building a complex never imports numpy.
+One factor rule serves all three.  Every block is a sum of independent
+factors: a factor with k choices j adds j times its input and output
+steps to the pair's column and row.  The callers name each block's
+moves, and only `_map_groups` turns them into factors from the two
+layouts and groups the blocks that share them; `_checked_groups` checks
+every group against its level before anything is built.  Two assemblers
+take the groups: `_block_matrices` expands each into positions for the
+differentials, `_row_matrices` expands each once into the rows its
+blocks share for the chain maps.  The row kernel would build the
+differentials with the same bits and as fast, but the benchmark's tests
+(`perfbench/tests`) require `from_triplets` calls on the chain-map
+workload, which only the position assembler makes.  Building a complex
+never imports numpy.
 
 Circle identity across different smoothings is never needed: a changed
 color factor depends only on the two circle counts.
@@ -39,6 +38,7 @@ them, and homology on a built complex is the dense check on that route.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, repeat
@@ -48,7 +48,7 @@ from time import perf_counter
 
 from .bruhat import Perm, build_bruhat, inversions, validate_perm
 from .errors import PreconditionError, SizeError, ValidationError, strict_int
-from .gf2 import GF2Matrix, _check_bytes, _matrix
+from .gf2 import GF2Matrix, _check_bytes, _index, _matrix
 from .linkdiag import LinkDiagram, is_height_uniform, s_vector
 from .summands import _cohomology
 
@@ -155,29 +155,33 @@ class CochainComplex:
         return out
 
     def basis_index(self, perm, coloring) -> tuple[int, int]:
-        """Flat (level, index) of a permutation and a 1-based coloring."""
+        """Flat (level, index) of a permutation and a 1-based coloring: one
+        group per position, of that position's digit count, of ints (no
+        bools, no floats) from 1 to the position's radix."""
         k, b = self._row(perm)
-        digits = self._digits(b)
-        flat = [c - 1 for group in coloring for c in group]
-        if len(flat) != len(digits):
-            raise ValidationError("coloring has the wrong number of digits")
-        if any(d < 0 or d >= radix for d, (radix, _, _) in zip(flat, digits)):
-            raise ValidationError("coloring digit out of range")
-        return k, self._span(b)[0] + sum(d * weight for d, (_, weight, _) in zip(flat, digits))
+        groups = [tuple(group) for group in coloring]
+        counts = list(self.places.count[b])
+        if list(map(len, groups)) != counts:
+            raise ValidationError(f"coloring has digit counts {list(map(len, groups))}, the block needs {counts}")
+        index = self._span(b)[0]
+        for c, (radix, weight, pos) in zip(chain.from_iterable(groups), self._digits(b)):
+            if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= radix:
+                raise ValidationError(f"coloring digit {c!r} at position {pos + 1} is not an int from 1 to {radix}")
+            index += (c - 1) * weight
+        return k, index
 
     def basis_label(self, level: int, index: int):
         """Inverse of basis_index: the (permutation, coloring) at a flat index."""
+        level = _index(level, len(self.level_perms), "level", "this complex")
+        index = _index(index, self.level_dims[level], "index", f"level {level}")
         first = sum(map(len, self.level_perms[:level]))
-        for b, p in enumerate(self.level_perms[level], first):
-            start, stop = self._span(b)
-            if start <= index < stop:
-                coloring: list[list[int]] = [[] for _ in range(self.n)]
-                rest = index - start
-                for _, weight, pos in self._digits(b):
-                    d, rest = divmod(rest, weight)
-                    coloring[pos].append(d + 1)
-                return p, tuple(map(tuple, coloring))
-        raise ValidationError(f"index {index} out of range for level {level}")
+        b = bisect_right(self.places.offset, index, first, first + len(self.level_perms[level])) - 1
+        coloring: list[list[int]] = [[] for _ in range(self.n)]
+        rest = index - self.places.offset[b]
+        for _, weight, pos in self._digits(b):
+            d, rest = divmod(rest, weight)
+            coloring[pos].append(d + 1)
+        return self.level_perms[level][b - first], tuple(map(tuple, coloring))
 
     def block(self, source: Perm, target: Perm) -> GF2Matrix:
         """The differential block attached to the cover source < target."""
@@ -301,9 +305,33 @@ def _row_matrices(shapes, groups) -> list[GF2Matrix]:
     return [_matrix(rows, cols, ints) for (rows, cols), ints in zip(shapes, levels)]
 
 
-def _swap(kept, swapped, i: int, j: int) -> tuple:
-    """kept, with its entries i < j taken from swapped."""
-    return kept[:i] + swapped[i : i + 1] + kept[i + 1 : j] + swapped[j : j + 1] + kept[j + 1 :]
+def _map_groups(src: BlockPlaces, tgt: BlockPlaces, blocks) -> list:
+    """The groups `_block_matrices` and `_row_matrices` take for a map from
+    the complex laid out by src to the one laid out by tgt: blocks gives
+    (s, t, moves) per block, block s of src onto block t of tgt.
+
+    A move (i, j) is the connected map from source position i onto target
+    position j, or onto digit 0 when j is None; (None, j) is a cup onto j.
+    A position no move starts from is the identity.  The factors are
+    (size, last, last') for an identity, (radix, step, step' or 0) for a
+    connected map and (radix', 0, step') for a cup, primes on tgt.
+    """
+    groups = {}
+    size, radix, last, step = src.size, src.radix, src.last, src.step
+    size_t, radix_t, last_t, step_t = tgt.size, tgt.radix, tgt.last, tgt.step
+    for s, t, moves in blocks:
+        key = (size[s], radix[s], size_t[t], radix_t[t], moves)
+        group = groups.get(key)
+        if group is None:
+            factors = list(zip(size[s], last[s], last_t[t]))
+            for i, j in moves:
+                if i is None:
+                    factors.append((radix_t[t][j], 0, step_t[t][j]))
+                else:
+                    factors[i] = (radix[s][i], step[s][i], 0 if j is None else step_t[t][j])
+            group = groups[key] = (*zip(*factors), [])
+        group[3].append((src.level[s], tgt.offset[t], src.offset[s]))
+    return list(groups.values())
 
 
 def _decimal(value: int) -> str:
@@ -333,8 +361,8 @@ def _assemble(n: int, digits_for, *, merge_split: bool, budget: int, **fields) -
     digits_for(p) gives, per position, the radix and the number of digits
     of the block of permutation p.  A cover edge is the identity on the
     positions it keeps.  On the two it swaps it is the connected map:
-    merge-split, constant a in and constant a out, for link complexes, or
-    unit-after-counit, constant a in and digit 0 out, for matrix complexes
+    merge-split, the moves (i, i), for link complexes, or
+    unit-after-counit, the moves (i, None), for matrix complexes
     (merge_split false).  The poset's n cap (`bruhat.N_CAP`), the
     basis budget and every differential's dense size are checked before
     any coordinate is built.  fields go to the CochainComplex as they are.
@@ -343,29 +371,14 @@ def _assemble(n: int, digits_for, *, merge_split: bool, budget: int, **fields) -
     places, dims = _block_places(poset.levels, digits_for)
     check_budget(dims, budget)
 
-    # On a cover edge from block s to block t, the factors of the positions
-    # i < j that it swaps come from the connected map, the others are the
-    # identity.  last and step follow from size and radix, so the factors
-    # depend only on the sizes and radices of s and t and on i and j.
-    pl = places
-    outs = pl.step if merge_split else [(0,) * n] * len(pl.step)
-    groups = {}
     index = {p: b for b, p in enumerate(chain.from_iterable(poset.levels))}
+    edges = []
     for p, q in poset.cover_edges:
-        s, t = index[p], index[q]
         i, j = [pos for pos in range(n) if p[pos] != q[pos]]
-        key = (pl.size[s], pl.radix[s], pl.size[t], pl.radix[t], i, j)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = (
-                _swap(pl.size[s], pl.radix[s], i, j),
-                _swap(pl.last[s], pl.step[s], i, j),
-                _swap(pl.last[t], outs[t], i, j),
-                [],
-            )
-        group[3].append((pl.level[s], pl.offset[t], pl.offset[s]))
+        moves = ((i, i), (j, j)) if merge_split else ((i, None), (j, None))
+        edges.append((index[p], index[q], moves))
     shapes = [(dims[k + 1], dims[k]) for k in range(poset.max_rank)]
-    differentials = _block_matrices(shapes, groups.values())
+    differentials = _block_matrices(shapes, _map_groups(places, places, edges))
 
     return CochainComplex(
         n=n,
@@ -495,9 +508,10 @@ def verify_euler(
     the color-independent summands C(N, j) (see `summands`), each occurring
     prod_{i not in N} x_i * prod_{i in N} (x_i^(s_{j_i}) - x_i) times; the
     summed dimensions must reproduce the counting formula at every level.
-    n is capped at `bruhat.N_CAP`.  budget caps the total dimension
-    of a complex whose cohomology is asked for; it does not apply with
-    skip_homology.  Both are checked before any work.
+    n is capped at `bruhat.N_CAP` before any work.  budget caps the total
+    dimension of a complex whose cohomology is asked for (not with
+    skip_homology), checked after the s-vector and the n·n! counting-formula
+    sum, before the summand walk.
     """
     from .gendet import _grid_report
 

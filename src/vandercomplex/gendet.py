@@ -197,8 +197,10 @@ def matrix_report(
 
     As in verify_euler, the dimensions come from the counting formula and
     the cohomology, unless skip_homology is set, from the summands C(N, j),
-    each occurring prod_{i in N} (m[i][j_i] - 1) times; n is capped at
-    `bruhat.N_CAP`, and budget is checked on the total dimension first.
+    each occurring prod_{i in N} (m[i][j_i] - 1) times.  n is capped at
+    `bruhat.N_CAP` before any work; budget is checked on the total
+    dimension after the n·n! counting-formula sum and before the summand
+    walk.
     """
     factors = [[1] + [v - 1 for v in row] for row in m.entries]
     return _grid_report(m.entries, factors, skip_homology, budget)

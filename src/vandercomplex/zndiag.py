@@ -13,12 +13,13 @@ is capped off (merges then counit), an unmatched target position is
 filled in (unit then splits), and each dot contributes its sphere value,
 the dot color mod 2.
 
-A chain map reads each factor's choices and steps from the block layouts
-of the two complexes, like a differential, but is assembled by row
-(`cochain._row_matrices`): block b of one complex faces block b of the
-other, and the rows of a block are shifts of one pattern, the caps'
-column shifts folded into it by XOR and repeated down the rows by the
-arcs and cups.
+A chain map names its moves, every arc that does not stay put, every cap
+and every cup, and takes its groups from the factor rule the
+differentials use (`cochain._map_groups`), block b of one complex onto
+block b of the other; it never reads a block layout itself.  It is
+assembled by row (`cochain._row_matrices`): the rows of a block are
+shifts of one pattern, the caps' column shifts folded into it by XOR and
+repeated down the rows by the arcs and cups.
 
 Composition concatenates arcs through shared middle points.  A middle
 point matched on neither side leaves a closed cap-cup component behind;
@@ -27,11 +28,10 @@ makes the induced maps compose on the nose.
 """
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 
 from .cochain import (
     CochainComplex,
+    _map_groups,
     _row_matrices,
     build_complex,
     validate_colors,
@@ -221,35 +221,16 @@ def chain_map(
     if not m.sphere_factor():  # an even dot kills every block
         zeros = tuple(GF2Matrix(r, c) for r, c in shapes)
         return ChainMap(morphism=m, source=cx, target=cy, blocks=zeros)
-    # One factor per source position (the identity on an arc that stays
-    # put, the connected map onto another target position or a cap), and a
-    # cup per unmatched target position.  Block b of one complex faces
-    # block b of the other.  Every block of a link complex has the colors
-    # as its radices, so its layout, and with it the factors here, depend
-    # only on its digit counts.  The factors' k, then mi, then mo are picked
-    # by index from one tuple per layout: the source's size, radix, last
-    # and step, the target's radix, last and step, and a zero.
-    px, py = cx.places, cy.places
-    sx, rx, lx, stx, ry, ly, sty, zero = range(0, 8 * m.n, m.n)
+    # An arc that stays put is the identity; every other arc, cap and cup
+    # is a move.  Block b of one complex faces block b of the other.
     by_src, by_tgt = m.arc_by_source(), m.arc_by_target()
-    picks = []
-    for pos in range(m.n):
-        j = by_src.get(pos + 1)
-        if j == pos + 1:
-            picks.append((sx + pos, lx + pos, ly + pos))
-        else:
-            picks.append((rx + pos, stx + pos, sty + j - 1 if j else zero))
-    picks += [(ry + pos, zero, sty + pos) for pos in range(m.n) if pos + 1 not in by_tgt]
-    pick, f = itemgetter(*chain.from_iterable(zip(*picks))), len(picks)
-    groups = {}
-    for b, (counts, lv, r, c) in enumerate(zip(px.count, px.level, py.offset, px.offset)):
-        group = groups.get(counts)
-        if group is None:
-            layouts = (px.size[b], px.radix[b], px.last[b], px.step[b], py.radix[b], py.last[b], py.step[b])
-            factors = pick(sum(layouts, ()) + (0,))
-            group = groups[counts] = (factors[:f], factors[f : 2 * f], factors[2 * f :], [])
-        group[3].append((lv, r, c))
-    levels = _row_matrices(shapes, groups.values())
+    moves = tuple(
+        [(i - 1, j - 1) for i, j in m.arcs if i != j]
+        + [(i, None) for i in range(m.n) if i + 1 not in by_src]
+        + [(None, j) for j in range(m.n) if j + 1 not in by_tgt]
+    )
+    blocks = [(b, b, moves) for b in range(len(cx.places.level))]
+    levels = _row_matrices(shapes, _map_groups(cx.places, cy.places, blocks))
     return ChainMap(morphism=m, source=cx, target=cy, blocks=tuple(levels))
 
 

@@ -126,21 +126,51 @@ def test_differential_block_is_the_tensor_of_factor_maps():
     assert block == expected
 
 
-def test_every_block_conforms_to_identity_or_merge_split():
-    x = (2, 2, 3)
-    cx = build_complex(torus_two_n(3), x)
-    s = cx.s
-    poset = build_bruhat(3)
-    for src, tgt in poset.cover_edges:
-        factors = []
-        for i in range(3):
-            if src[i] == tgt[i]:
-                factors.append(GF2Matrix.identity(x[i] ** s[src[i] - 1]))
-            else:
-                factors.append(
-                    connected_map(AlgebraSpec(x[i]), s[src[i] - 1], s[tgt[i] - 1])
-                )
+def assert_blocks_are_tensors(cx, grid, connected):
+    """Every cover block of cx against the tensor of its factors: on a
+    position i that a cover keeps at value a, the identity of size
+    grid[i][a - 1]; on one it moves from a to b, connected(i, a, b)."""
+    for src, tgt in build_bruhat(cx.n).cover_edges:
+        factors = [
+            GF2Matrix.identity(grid[i][a - 1]) if a == b else connected(i, a, b)
+            for i, (a, b) in enumerate(zip(src, tgt))
+        ]
         assert cx.block(src, tgt) == tensor_assemble(factors), (src, tgt)
+
+
+def unit_after_counit(rows, cols):
+    """Every column onto row 0."""
+    return GF2Matrix(rows, cols, [(1 << cols) - 1] + [0] * (rows - 1))
+
+
+def test_every_block_conforms_to_identity_or_merge_split():
+    # link complexes take merge-split on the two positions a cover swaps,
+    # matrix complexes unit-after-counit
+    rng = random.Random(25)
+    links = [(torus_two_n(3), (2, 2, 3))]
+    links += [
+        (random_diagram(n, rng, free_loops=rng.randint(0, 2)), tuple(rng.randint(1, 3) for _ in range(n)))
+        for n in [2, 3, 4] * 8
+    ]
+    seen = set()
+    for d, x in links:
+        try:
+            cx = build_complex(d, x, budget=4000)
+        except SizeError:
+            continue
+        s = cx.s
+        grid = [[xi**sj for sj in s] for xi in x]
+        assert_blocks_are_tensors(cx, grid, lambda i, a, b: connected_map(AlgebraSpec(x[i]), s[a - 1], s[b - 1]))
+        seen.add(f"link n={d.n}")
+        seen.update(["free loops"] if d.free_loops else [])
+    for n in [2, 3, 4] * 4:
+        m = random_matrix(n, 4, rng)
+        rows = m.entries
+        assert_blocks_are_tensors(
+            build_matrix_complex(m), rows, lambda i, a, b: unit_after_counit(rows[i][b - 1], rows[i][a - 1])
+        )
+        seen.add(f"matrix n={n}")
+    assert seen == {"link n=2", "link n=3", "link n=4", "free loops", "matrix n=2", "matrix n=3", "matrix n=4"}
 
 
 def test_single_crossing_complex():
@@ -317,6 +347,26 @@ def test_basis_index_round_trip():
             perm, coloring = cx.basis_label(level, idx)
             assert cx.basis_index(perm, coloring) == (level, idx)
             assert inversions(perm) == level
+
+
+@pytest.mark.parametrize(
+    "method, args",
+    [
+        # block (1, 2) of this complex has digit counts (1, 2)
+        ("basis_index", ((1, 2), ((1.0,), (2.0, 3)))),
+        ("basis_index", ((1, 2), ((True,), (2, 3)))),
+        ("basis_index", ((1, 2), ((1, 2), (3,)))),
+        ("basis_index", ((1, 2), ((1,), (2,), (3,)))),
+        ("basis_label", (-1, 0)),
+        ("basis_label", (5, 0)),
+        ("basis_label", (0, 1.5)),
+        ("basis_label", (True, 0)),
+    ],
+)
+def test_basis_index_and_label_refuse_malformed_arguments(method, args):
+    cx = build_complex(torus_two_n(2), (2, 3))
+    with pytest.raises(ValidationError):
+        getattr(cx, method)(*args)
 
 
 def test_euler_characteristic_helper():
