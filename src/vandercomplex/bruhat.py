@@ -14,7 +14,8 @@ levels and edges are tuples.
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations, starmap
+from operator import gt
 
 from .errors import PreconditionError, SizeError, ValidationError, strict_int
 
@@ -34,9 +35,7 @@ def validate_perm(p) -> Perm:
 
 def inversions(p) -> int:
     """Number of pairs i < j with p[i] > p[j]; the Bruhat rank of p."""
-    q = validate_perm(p)
-    n = len(q)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if q[i] > q[j])
+    return sum(starmap(gt, combinations(validate_perm(p), 2)))
 
 
 def covers(p) -> list[Perm]:
@@ -76,22 +75,23 @@ class BruhatPoset:
         return len(self.levels) - 1
 
 
-def build_bruhat(n: int) -> BruhatPoset:
-    """S_n with rank levels and all cover edges, built on first use and
-    shared afterwards.
-
-    n is capped at N_CAP because the poset has n! elements and the
-    downstream complexes grow much faster still; every route reaches the
-    poset through here, so N_CAP is the n cap of them all.  The refusal
-    names the cap and nothing more, since the routes pass it on to callers
-    who cannot raise it.
-    """
+def validate_n(n) -> int:
+    """n as a positive int of at most N_CAP, the n cap of every route: S_n
+    has n! elements and the complexes over it grow much faster still.  The
+    refusal names the cap and nothing more, since the routes pass it on to
+    callers who cannot raise it."""
     n = strict_int(n, "group size")
     if n < 1:
         raise ValidationError(f"group size must be positive, got {n}")
     if n > N_CAP:
         raise SizeError(f"n={n} exceeds the poset cap {N_CAP}")
-    return _generate(n)
+    return n
+
+
+def build_bruhat(n: int) -> BruhatPoset:
+    """S_n with rank levels and all cover edges, built on first use and
+    shared afterwards; n is checked by `validate_n`."""
+    return _generate(validate_n(n))
 
 
 @cache

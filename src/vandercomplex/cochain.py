@@ -46,7 +46,7 @@ from math import prod
 from operator import itemgetter, lshift, mul, xor
 from time import perf_counter
 
-from .bruhat import Perm, build_bruhat, inversions, validate_perm
+from .bruhat import Perm, build_bruhat, covers, inversions, validate_n, validate_perm
 from .errors import PreconditionError, SizeError, ValidationError, strict_int
 from .gf2 import GF2Matrix, _check_bytes, _index, _matrix
 from .linkdiag import LinkDiagram, is_height_uniform, s_vector
@@ -159,7 +159,10 @@ class CochainComplex:
         group per position, of that position's digit count, of ints (no
         bools, no floats) from 1 to the position's radix."""
         k, b = self._row(perm)
-        groups = [tuple(group) for group in coloring]
+        try:
+            groups = [tuple(group) for group in coloring]
+        except TypeError:
+            raise ValidationError(f"coloring {coloring!r} is not one group of digits per position") from None
         counts = list(self.places.count[b])
         if list(map(len, groups)) != counts:
             raise ValidationError(f"coloring has digit counts {list(map(len, groups))}, the block needs {counts}")
@@ -185,19 +188,16 @@ class CochainComplex:
 
     def block(self, source: Perm, target: Perm) -> GF2Matrix:
         """The differential block attached to the cover source < target."""
-        k = inversions(source)
-        if inversions(target) != k + 1:
+        if validate_perm(target) not in covers(source):
             raise PreconditionError("block endpoints must form a cover")
-        c0, c1 = self._span(self._row(source)[1])
+        k, b = self._row(source)
+        c0, c1 = self._span(b)
         r0, r1 = self._span(self._row(target)[1])
         return self.differentials[k].submatrix(r0, r1, c0, c1)
 
     def verify_d_squared(self) -> bool:
         """Check that consecutive differentials compose to zero."""
-        for k in range(len(self.differentials) - 1):
-            if not self.differentials[k + 1].compose_is_zero(self.differentials[k]):
-                return False
-        return True
+        return all(b.compose_is_zero(a) for a, b in zip(self.differentials, self.differentials[1:]))
 
 
 def _checked_groups(shapes, groups) -> list[tuple[list[tuple[int, int, int]], int, list]]:
@@ -397,7 +397,7 @@ def _colors_and_s(d: LinkDiagram, x) -> tuple[ColorVector, tuple[int, ...]]:
         raise PreconditionError(
             f"color vector length {len(xs)} does not match crossing count {d.n}"
         )
-    build_bruhat(d.n)
+    validate_n(d.n)
     return xs, s_vector(d)
 
 

@@ -9,10 +9,11 @@ other positions.  Call a set N of positions with an injective assignment j
 of values to them a constraint set.  The complex is the direct sum, over
 constraint sets, of copies of one small complex C(N, j): one basis element
 per permutation p with p(i) = j_i for i in N, graded by inversions, whose
-differential sends p to the sum of its S_n covers that stay in the set,
-which are the covers swapping two positions outside N.  C(N, j) does not
-depend on the colors; only its number of copies does, and that is a
-product of one factor per position:
+differential sends p to its covers in the set: the swaps of two positions
+outside N that raise the inversion count by exactly one.  So a row is
+filled from its own members, and this route builds no S_n poset.  C(N, j)
+does not depend on the colors; only its number of copies does, and that
+is a product of one factor per position:
 
 - link complexes: x_i for a free position, x_i^(s_j) - x_i (the
   nonconstant strings) for a position i held at value j;
@@ -31,12 +32,12 @@ cost follows the sets a complex reaches and not the size of the table.
 Rows and sums are Python integers, so the sums are exact at any size.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import itemgetter, mul
 
-from .bruhat import BruhatPoset, Perm, build_bruhat
+from .bruhat import Perm, inversions, validate_n
 from .errors import ConsistencyError
-from .gf2 import GF2Matrix
+from .gf2 import _matrix
 
 Code = tuple[int, ...]
 Row = tuple[tuple[int, ...], tuple[int, ...]]
@@ -52,16 +53,13 @@ class SummandTable:
     (dim C^k, dim H^k) as tuples over k; sets with equal rows share one id,
     so rows holds each distinct row once, under the ids 0, 1, ... in
     order.  Rows are tuples because the table is shared by every caller.
-    level_of gives each permutation's rank, and the private cover lists,
-    read from the poset's cover_edges, each permutation's covers.
+    The table knows S_n by n and its maximum rank alone; it holds nothing
+    per permutation.
     """
 
-    def __init__(self, poset: BruhatPoset):
-        self.poset = poset
-        self.level_of = {p: k for k, level in enumerate(poset.levels) for p in level}
-        self._covers: dict[Perm, list[Perm]] = {p: [] for p in self.level_of}
-        for p, q in poset.cover_edges:
-            self._covers[p].append(q)
+    def __init__(self, n: int):
+        self.n = n
+        self.max_rank = n * (n - 1) // 2
         self.ids: dict[int, int] = {}
         self.rows: dict[int, Row] = {}
         self._interned: dict[Row, int] = {}  # row -> its id
@@ -70,14 +68,14 @@ class SummandTable:
         """The integer key of a code."""
         key = 0
         for v in code:
-            key = key * (self.poset.n + 1) + v
+            key = key * (self.n + 1) + v
         return key
 
     def code(self, key: int) -> Code:
         """The code of an integer key."""
         digits = []
-        for _ in range(self.poset.n):
-            key, v = divmod(key, self.poset.n + 1)
+        for _ in range(self.n):
+            key, v = divmod(key, self.n + 1)
             digits.append(v)
         return tuple(reversed(digits))
 
@@ -90,37 +88,40 @@ class SummandTable:
             self.rows.setdefault(i, row)
         return i
 
-    def members(self, code: Code) -> list[Perm]:
-        """The permutations of a constraint set, in lexicographic order."""
-        free = [i for i, v in enumerate(code) if v == 0]
-        values = sorted(set(range(1, self.poset.n + 1)).difference(code))
-        out = []
-        for vals in permutations(values):
-            p = list(code)
-            for i, v in zip(free, vals):
-                p[i] = v
-            out.append(tuple(p))
-        return out
-
     def fill(self, code: Code) -> Row:
-        """Compute a row: its levels, d^2 = 0, and the rank of each differential."""
-        levels: list[list[Perm]] = [[] for _ in self.poset.levels]
-        for p in self.members(code):
-            levels[self.level_of[p]].append(p)
-        position = {p: t for level in levels for t, p in enumerate(level)}
+        """Compute a row: its levels, d^2 = 0, and the rank of each differential.
+
+        The members are graded by inversions, in lexicographic order within
+        a level, and a member at level k is covered in the set by each swap
+        of two free positions that lands at level k + 1.
+        """
+        free = [i for i, v in enumerate(code) if v == 0]
+        order = range(self.n)
+        # one getter per pair of free positions a < b, swapping the two
+        swaps = [itemgetter(*order[:a], b, *order[a + 1 : b], a, *order[b + 1 :]) for a, b in combinations(free, 2)]
+        levels: list[list[Perm]] = [[] for _ in range(self.max_rank + 1)]
+        place = {}  # member -> (its level, its index there)
+        member = list(code)
+        for values in permutations(sorted(set(range(1, self.n + 1)).difference(code))):
+            for i, v in zip(free, values):
+                member[i] = v
+            p = tuple(member)
+            k = inversions(p)
+            place[p] = k, len(levels[k])
+            levels[k].append(p)
         dims = [len(level) for level in levels]
         # the levels lo .. hi - 1 hold every member; H is zero outside them
         held = [k for k, dim in enumerate(dims) if dim]
         lo, hi = held[0], held[-1] + 1
-        up = self._covers
-        differentials = [
-            GF2Matrix.from_triplets(
-                dims[k + 1],
-                dims[k],
-                [(position[q], t) for t, p in enumerate(levels[k]) for q in up[p] if q in position],
-            )
-            for k in range(lo, hi - 1)
-        ]
+        differentials = []
+        for k in range(lo, hi - 1):
+            ints = [0] * dims[k + 1]
+            for t, p in enumerate(levels[k]):
+                for swap in swaps:
+                    up, row = place[swap(p)]
+                    if up == k + 1:
+                        ints[row] |= 1 << t
+            differentials.append(_matrix(dims[k + 1], dims[k], ints))
         hom = _cohomology(dims[lo:hi], differentials, f"summand {list(code)}")
         return tuple(dims), (0,) * lo + tuple(hom) + (0,) * (len(dims) - hi)
 
@@ -131,9 +132,8 @@ def _cohomology(dims, differentials, where: str) -> list[int]:
     maps off either end being zero.  Consecutive differentials are first
     checked to compose to zero; where names the complex if they do not.
     """
-    for k in range(len(differentials) - 1):
-        if not differentials[k + 1].compose_is_zero(differentials[k]):
-            raise ConsistencyError(f"{where}: differentials do not square to zero")
+    if not all(b.compose_is_zero(a) for a, b in zip(differentials, differentials[1:])):
+        raise ConsistencyError(f"{where}: differentials do not square to zero")
     ranks = [0, *(d.rank() for d in differentials), 0]  # ranks[k] is rank d^(k-1)
     return [dim - ranks[k] - ranks[k + 1] for k, dim in enumerate(dims)]
 
@@ -143,11 +143,12 @@ _TABLES: dict[int, SummandTable] = {}
 
 def summand_table(n: int) -> SummandTable:
     """The table of S_n, created on first use and shared afterwards; n is
-    capped at `bruhat.N_CAP`.
+    checked by `bruhat.validate_n`.
     """
+    n = validate_n(n)
     table = _TABLES.get(n)
     if table is None:
-        table = _TABLES[n] = SummandTable(build_bruhat(n))
+        table = _TABLES[n] = SummandTable(n)
     return table
 
 
@@ -202,7 +203,7 @@ def homology_dims(factors, cochain_dims) -> list[int]:
     dim_rows = [d for d, _ in rows]
     hom_rows = [h for _, h in rows]
     multiplicities = list(weights.values())
-    levels = range(table.poset.max_rank + 1)
+    levels = range(table.max_rank + 1)
     dims = [sum(map(mul, multiplicities, map(itemgetter(k), dim_rows))) for k in levels]
     hom = [sum(map(mul, multiplicities, map(itemgetter(k), hom_rows))) for k in levels]
     if dims != list(cochain_dims):

@@ -217,19 +217,17 @@ def chain_map(
     if cx.s != cy.s:
         raise PreconditionError("prebuilt complexes come from diagrams with different circle counts")
 
-    shapes = list(zip(cy.level_dims, cx.level_dims))
-    if not m.sphere_factor():  # an even dot kills every block
-        zeros = tuple(GF2Matrix(r, c) for r, c in shapes)
-        return ChainMap(morphism=m, source=cx, target=cy, blocks=zeros)
     # An arc that stays put is the identity; every other arc, cap and cup
-    # is a move.  Block b of one complex faces block b of the other.
+    # is a move.  Block b of one complex faces block b of the other, and an
+    # even dot kills every block, leaving zero levels.
     by_src, by_tgt = m.arc_by_source(), m.arc_by_target()
     moves = tuple(
         [(i - 1, j - 1) for i, j in m.arcs if i != j]
         + [(i, None) for i in range(m.n) if i + 1 not in by_src]
         + [(None, j) for j in range(m.n) if j + 1 not in by_tgt]
     )
-    blocks = [(b, b, moves) for b in range(len(cx.places.level))]
+    blocks = [(b, b, moves) for b in range(len(cx.places.level))] if m.sphere_factor() else []
+    shapes = list(zip(cy.level_dims, cx.level_dims))
     levels = _row_matrices(shapes, _map_groups(cx.places, cy.places, blocks))
     return ChainMap(morphism=m, source=cx, target=cy, blocks=tuple(levels))
 

@@ -113,7 +113,7 @@ def test_build_bruhat_matches_covers_everywhere():
 
 
 def test_build_bruhat_cap():
-    # the summand table reaches the poset through the same cap
+    # the summand table builds no poset but shares the n-cap check
     for build in (build_bruhat, summand_table):
         with pytest.raises(SizeError, match="^n=7 exceeds the poset cap 6$"):
             build(7)

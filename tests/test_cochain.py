@@ -361,6 +361,8 @@ def test_basis_index_round_trip():
         ("basis_label", (5, 0)),
         ("basis_label", (0, 1.5)),
         ("basis_label", (True, 0)),
+        ("basis_index", ((1, 2), 5)),
+        ("basis_index", ((1, 2), [5, 1])),
     ],
 )
 def test_basis_index_and_label_refuse_malformed_arguments(method, args):
@@ -530,3 +532,8 @@ def test_block_requires_a_cover():
     cx = build_complex(torus_two_n(3), (1, 1, 2))
     with pytest.raises(PreconditionError):
         cx.block((1, 2, 3), (3, 2, 1))
+    # one inversion apart but incomparable: no block, not an all-zero one
+    cx = build_complex(torus_two_n(4), (1, 1, 1, 2))
+    assert inversions((1, 3, 4, 2)) == inversions((2, 1, 3, 4)) + 1
+    with pytest.raises(PreconditionError, match="^block endpoints must form a cover$"):
+        cx.block((2, 1, 3, 4), (1, 3, 4, 2))

@@ -1,11 +1,13 @@
 import random
-from itertools import product
+from functools import cache
+from itertools import permutations, product
 from math import prod
 
 import pytest
 
 from vandercomplex import (
     ConsistencyError,
+    build_bruhat,
     build_complex,
     build_matrix_complex,
     cochain_dims,
@@ -20,7 +22,7 @@ from vandercomplex import (
 )
 from vandercomplex.gendet import matrix_dims, random_matrix
 from vandercomplex.gf2 import GF2Matrix
-from vandercomplex import summands
+from vandercomplex import bruhat, summands
 from vandercomplex.summands import summand_table
 
 DENSE_CAP = 4000  # total basis elements the dense oracle is asked to eliminate
@@ -156,7 +158,7 @@ def test_pruned_walk_matches_every_constraint_set(monkeypatch, n, low):
         weight = prod(f[v] for f, v in zip(factors, code))
         if len(set(held)) == len(held) and weight:
             occurring[code] = weight
-    expect_dims = [0] * (table.poset.max_rank + 1)
+    expect_dims = [0] * (table.max_rank + 1)
     expect_hom = list(expect_dims)
     for code, weight in occurring.items():
         dims, hom = table.fill(code)
@@ -186,3 +188,82 @@ def test_keys_and_interned_rows(monkeypatch, n):
             assert (id_a == id_b) == (row_a == row_b)
     assert list(table.rows) == list(range(len(table.rows)))
     assert len(set(table.rows.values())) == len(table.rows) == len({row for _, row in rows.values()})
+
+
+def constraint_sets(n):
+    """Every code of S_n: a value or 0 per position, the held values distinct."""
+    for code in product(range(n + 1), repeat=n):
+        held = [v for v in code if v]
+        if len(set(held)) == len(held):
+            yield code
+
+
+@cache
+def poset_levels_and_covers(n):
+    """Each permutation's rank and its covers, read from the S_n poset."""
+    poset = build_bruhat(n)
+    level_of = {p: k for k, level in enumerate(poset.levels) for p in level}
+    up = {p: [] for p in level_of}
+    for p, q in poset.cover_edges:
+        up[p].append(q)
+    return level_of, up
+
+
+def poset_route_row(n, code):
+    """A row as the table filled it through the poset: levels and covers
+    from `build_bruhat`, differentials through `from_triplets`."""
+    level_of, up = poset_levels_and_covers(n)
+    free = [i for i, v in enumerate(code) if v == 0]
+    levels = [[] for _ in range(n * (n - 1) // 2 + 1)]
+    for vals in permutations(sorted(set(range(1, n + 1)).difference(code))):
+        p = list(code)
+        for i, v in zip(free, vals):
+            p[i] = v
+        levels[level_of[tuple(p)]].append(tuple(p))
+    position = {p: t for level in levels for t, p in enumerate(level)}
+    dims = [len(level) for level in levels]
+    held = [k for k, dim in enumerate(dims) if dim]
+    lo, hi = held[0], held[-1] + 1
+    differentials = [
+        GF2Matrix.from_triplets(
+            dims[k + 1],
+            dims[k],
+            [(position[q], t) for t, p in enumerate(levels[k]) for q in up[p] if q in position],
+        )
+        for k in range(lo, hi - 1)
+    ]
+    hom = summands._cohomology(dims[lo:hi], differentials, f"summand {list(code)}")
+    return tuple(dims), (0,) * lo + tuple(hom) + (0,) * (len(dims) - hi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_every_row_matches_the_poset_route(n):
+    table = summands.SummandTable(n)
+    for code in constraint_sets(n):
+        assert table.fill(code) == poset_route_row(n, code), code
+
+
+def test_summand_route_builds_no_poset(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"the S_{n} poset was built")
+
+    monkeypatch.setattr(summands, "_TABLES", {})
+    generate = bruhat._generate
+    monkeypatch.setattr(bruhat, "_generate", refuse)
+    for n in range(1, 6):
+        table = summand_table(n)
+        codes = list(constraint_sets(n))
+        for code in codes:
+            table.row_id(table.key(code))
+        assert len(table.ids) == len(codes)
+
+    # verify_euler builds the poset once, for the counting formula, on the
+    # call that creates the table and on every later one
+    monkeypatch.setattr(summands, "_TABLES", {})
+    built = []
+    monkeypatch.setattr(bruhat, "_generate", lambda n: built.append(n) or generate(n))
+    d, x = torus_two_n(5), (2, 1, 2, 1, 2)
+    for _ in range(2):
+        built.clear()
+        assert verify_euler(d, x).agree
+        assert built == [5]
