@@ -7,11 +7,13 @@ a strip-diagram morphism, and check runs the property suite.
 
 Exit codes: 0 on success with all agreements true, 2 when a determinant
 and an Euler characteristic disagree (mathematically impossible, so an
-implementation bug), and 1 for input problems.
+implementation bug), and 1 for input problems and for a standard output
+closed before the report was written (as by `| head -1`).
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 from time import perf_counter
@@ -218,6 +220,19 @@ _COMMANDS = {
 }
 
 
+def _drop_stdout() -> None:
+    """Point the file descriptor of standard output at the null device, so
+    the interpreter's flush at exit finds no closed pipe; a stream with no
+    descriptor is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # io.UnsupportedOperation, or a closed stream
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -225,7 +240,13 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ValidationError(f"--{flag} must be a positive integer, got {value}")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of standard output is gone: there is no one to tell
+        _drop_stdout()
+        return 1
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 1

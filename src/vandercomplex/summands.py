@@ -29,13 +29,16 @@ time a complex needs its set.  `homology_dims` walks the constraint sets
 whose multiplicity is nonzero, adds each one's multiplicity to its row id,
 and sums only the distinct rows it reached, with those weights, so its
 cost follows the sets a complex reaches and not the size of the table.
-Rows and sums are Python integers, so the sums are exact at any size.
+The sum packs each row into one integer, a field per level (Kronecker
+substitution), so it is one multiply-add per row, not one per row and
+level.  Rows and sums are Python integers, so the sums are exact at any
+size.
 """
 
 from itertools import combinations, permutations
-from operator import itemgetter, mul
+from operator import itemgetter
 
-from .bruhat import Perm, inversions, validate_n
+from .bruhat import Perm, inversions, mahonian_distribution, validate_n
 from .errors import ConsistencyError
 from .gf2 import _matrix
 
@@ -53,16 +56,20 @@ class SummandTable:
     (dim C^k, dim H^k) as tuples over k; sets with equal rows share one id,
     so rows holds each distinct row once, under the ids 0, 1, ... in
     order.  Rows are tuples because the table is shared by every caller.
-    The table knows S_n by n and its maximum rank alone; it holds nothing
-    per permutation.
+    The table knows S_n by n, its maximum rank and its largest level, top,
+    alone; it holds nothing per permutation.  No entry of a row exceeds top:
+    dim C^k(N, j) counts permutations of S_n at level k.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.max_rank = n * (n - 1) // 2
+        self.top = max(mahonian_distribution(n))
         self.ids: dict[int, int] = {}
         self.rows: dict[int, Row] = {}
         self._interned: dict[Row, int] = {}  # row -> its id
+        self._width = 0  # the field width of the packed rows kept
+        self._packed: dict[Row, int] = {}  # row -> row packed at _width
 
     def key(self, code: Code) -> int:
         """The integer key of a code."""
@@ -125,6 +132,59 @@ class SummandTable:
         hom = _cohomology(dims[lo:hi], differentials, f"summand {list(code)}")
         return tuple(dims), (0,) * lo + tuple(hom) + (0,) * (len(dims) - hi)
 
+    def level_sums(self, weights: dict[int, int]) -> tuple[list[int], list[int]]:
+        """dim C^k and dim H^k summed over the rows with the given ids, each
+        row weighted by its multiplicity weights[id], for every level k.
+
+        Kronecker substitution: a row is packed into one integer, dim C^k in
+        field k and dim H^k in field max_rank + 1 + k, each field width bits
+        wide, so one multiply-add per row sums every level at once.  No
+        entry exceeds top (`_pack` checks it), so no field of the sum
+        exceeds sum(weights) * top, and width is the multiple of 64 that
+        holds that bound: no field carries into the next.  Packed rows are
+        kept for the width of the last call only, so huge colors, whose
+        widths vary, cannot pile up rows, and keyed by row value, so a row
+        replaced in rows is packed, and checked, afresh.  The bound holds
+        for multiplicities of 0 or more only, so a negative one is refused.
+        """
+        if min(weights.values(), default=0) < 0:
+            raise ConsistencyError(f"summand multiplicities {list(weights.values())} include a negative one")
+        width = -(-(sum(weights.values()) * self.top).bit_length() // 64) * 64
+        if width != self._width:
+            self._width, self._packed = width, {}
+        cache = self._packed
+        rows = self.rows
+        total = 0
+        for i, weight in weights.items():
+            row = rows[i]
+            packed = cache.get(row)
+            if packed is None:
+                packed = cache[row] = self._pack(row, width)
+            total += weight * packed
+        mask = (1 << width) - 1
+        size = self.max_rank + 1
+        fields = [total >> (k * width) & mask for k in range(2 * size)]
+        return fields[:size], fields[size:]
+
+    def _pack(self, row: Row, width: int) -> int:
+        """A row as one integer of fields width bits wide, once its entries
+        are checked: every dim C^k in 0 .. top and every dim H^k in
+        0 .. dim C^k, so that no entry can carry into the next field."""
+        dims, hom = row
+        if not all(0 <= c <= self.top for c in dims):
+            raise ConsistencyError(
+                f"summand dimensions {list(dims)} do not reproduce any complex: an entry lies "
+                f"outside 0 .. {self.top}, the largest level of S_{self.n}"
+            )
+        if not all(0 <= h <= c for h, c in zip(hom, dims)):
+            raise ConsistencyError(
+                f"summand homology {list(hom)} does not fit the summand dimensions {list(dims)}"
+            )
+        packed = 0
+        for entry in reversed(dims + hom):
+            packed = packed << width | entry
+        return packed
+
 
 def _cohomology(dims, differentials, where: str) -> list[int]:
     """dim H^k = dim C^k - rank d^k - rank d^(k-1) of the complex with level
@@ -165,7 +225,8 @@ def homology_dims(factors, cochain_dims) -> list[int]:
     looks each key up in the table's ids, decoding and filling it only on
     a miss, and adds its multiplicity to its row id.  Only the distinct
     rows reached are summed, each once (a call often reaches fewer than
-    20 of the 234 distinct rows of S_6), level by level.
+    20 of the 234 distinct rows of S_6), all levels at once by
+    `SummandTable.level_sums`.
     cochain_dims are the complex's level dimensions from the counting
     formula: the summed summand dimensions must reproduce them, or
     ConsistencyError is raised.
@@ -196,16 +257,7 @@ def homology_dims(factors, cochain_dims) -> list[int]:
                 if i is None:
                     i = table.row_id(key + j)
                 weights[i] = weights.get(i, 0) + weight * f
-    # each level is read with itemgetter, not zip(*rows): zip builds a column
-    # tuple per level of the reached-row count, often under 20, and CPython
-    # keeps freed tuples of those sizes on free lists, which raised peak RSS
-    rows = [table.rows[i] for i in weights]
-    dim_rows = [d for d, _ in rows]
-    hom_rows = [h for _, h in rows]
-    multiplicities = list(weights.values())
-    levels = range(table.max_rank + 1)
-    dims = [sum(map(mul, multiplicities, map(itemgetter(k), dim_rows))) for k in levels]
-    hom = [sum(map(mul, multiplicities, map(itemgetter(k), hom_rows))) for k in levels]
+    dims, hom = table.level_sums(weights)
     if dims != list(cochain_dims):
         raise ConsistencyError(
             f"summand dimensions {dims} do not reproduce the cochain dimensions {list(cochain_dims)}"

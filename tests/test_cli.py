@@ -1,8 +1,13 @@
+import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vandercomplex
 from vandercomplex import cochain_dims, format_diagram, torus_two_n
 from vandercomplex.checks import product_formula
 from vandercomplex.cli import main
@@ -231,6 +236,48 @@ def test_internal_error_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "torus", "--n", "2", "--x", "1,2")
     assert code == 2 and out == ""
     assert err.startswith("error: summand dimensions") and len(err.splitlines()) == 1
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader is gone, failing at write or at flush."""
+
+    def __init__(self, at):
+        super().__init__()
+        self.at = at
+
+    def write(self, text):
+        if self.at == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.at == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("at", ["write", "flush"])
+@pytest.mark.parametrize("argv", [["torus", "--n", "3", "--x", "2,2,2", "--json"], ["check"]])
+def test_closed_stdout_exits_1_quietly(capsys, monkeypatch, at, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(at))
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_leaves_no_traceback(unbuffered):
+    # `vandercomplex ... | head -1`: the reader closes the pipe before the
+    # report is written; with buffering the write fails only at the flush
+    src = str(Path(vandercomplex.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONUNBUFFERED=unbuffered)
+    argv = [sys.executable, "-m", "vandercomplex.cli", "torus", "--n", "3", "--x", "2,2,2", "--json"]
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    try:
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert child.returncode == 1 and err == b""
 
 
 def test_usage_error_exits_1():

@@ -114,9 +114,9 @@ def test_corrupted_summand_homology_is_caught(monkeypatch):
 
 
 def test_only_reached_rows_are_summed(monkeypatch):
-    # A row no key maps to, one level short: summed even with weight zero it
-    # breaks the sums (zip cuts every level to its length, itemgetter finds
-    # no last level), so only rows a key reached may be summed.
+    # A row no key maps to, one level short, added to a filled table: the
+    # answers must not change, so only the rows a key reached may be packed
+    # and summed (packed, this row would put its homology one field low).
     monkeypatch.setattr(summands, "_TABLES", {})
     d, x = torus_two_n(3), (2, 2, 2)
     m = random_matrix(3, 3, random.Random(7))
@@ -125,6 +125,41 @@ def test_only_reached_rows_are_summed(monkeypatch):
     dims, hom = table.rows[table.ids[0]]
     table.rows[len(table.rows)] = (dims[:-1], hom[:-1])
     assert (verify_euler(d, x).homology_dims, matrix_report(m).homology_dims) == expect
+
+
+@pytest.mark.parametrize(
+    "part, level, entry, match",
+    [
+        (0, 1, 3, r"^summand dimensions \[1, 3, 2, 1\] do not reproduce any complex: an entry lies "
+                  r"outside 0 \.\. 2, the largest level of S_3$"),
+        (0, 1, 1 << 64, "outside 0 .. 2, the largest level of S_3"),
+        (0, 0, -1, "outside 0 .. 2, the largest level of S_3"),
+        (1, 1, 3, r"^summand homology \[0, 3, 0, 0\] does not fit the summand dimensions \[1, 2, 2, 1\]$"),
+        (1, 2, 1 << 64, "summand homology .* does not fit the summand dimensions"),
+    ],
+)
+def test_row_entry_that_could_carry_is_refused_when_packed(monkeypatch, part, level, entry, match):
+    # Fields are wide enough for entries up to the largest level of S_n
+    # (2 at n=3); a larger entry, or a negative one, would carry into the
+    # next level's field or borrow from it, so packing refuses it.
+    d, x = torus_two_n(3), (2, 2, 2)
+    verify_euler(d, x)
+    table = summand_table(3)
+    assert table.top == 2
+    free = table.ids[0]
+    row = [list(r) for r in table.rows[free]]
+    assert row == [[1, 2, 2, 1], [0, 0, 0, 0]]
+    row[part][level] = entry
+    monkeypatch.setitem(table.rows, free, tuple(map(tuple, row)))
+    with pytest.raises(ConsistencyError, match=match):
+        verify_euler(d, x)
+
+
+def test_negative_multiplicity_is_refused_before_packing():
+    # the field width bounds sums of multiplicities 0 or more; a negative
+    # factor would borrow across fields (summed per level: dims [0, 12])
+    with pytest.raises(ConsistencyError, match=r"^summand multiplicities \[.*\] include a negative one$"):
+        summands.homology_dims([[1, -1, 2], [1, 3, 1]], [0, 12])
 
 
 def test_summand_fill_checks_d_squared(monkeypatch):
@@ -167,6 +202,60 @@ def test_pruned_walk_matches_every_constraint_set(monkeypatch, n, low):
             expect_hom[k] += weight * hom[k]
     assert summands.homology_dims(factors, expect_dims) == expect_hom
     assert set(table.ids) == {table.key(code) for code in occurring}
+
+
+@cache
+def reference_rows(n):
+    """Every constraint set of S_n with its row, from a table of its own."""
+    table = summands.SummandTable(n)
+    return [(code, table.fill(code)) for code in constraint_sets(n)]
+
+
+def reference_level_sums(factors):
+    """Summed dim C^k and dim H^k, one level at a time, over every
+    constraint set, each weighted by the product of its positions' factors;
+    also the total weight."""
+    n = len(factors)
+    size = n * (n - 1) // 2 + 1
+    dims, hom, total = [0] * size, [0] * size, 0
+    for code, (row_dims, row_hom) in reference_rows(n):
+        weight = prod(f[v] for f, v in zip(factors, code))
+        total += weight
+        for k in range(size):
+            dims[k] += weight * row_dims[k]
+            hom[k] += weight * row_hom[k]
+    return dims, hom, total
+
+
+# bit lengths of the largest summed level: either side of the 64- and
+# 128-bit field widths, and far past them
+FIELD_BITS = (62, 63, 64, 65, 127, 128, 129, 300)
+
+
+def test_packed_level_sums_match_per_level_sums():
+    rng = random.Random(27)
+    tight = set()
+    for case in range(1000):
+        n = rng.randint(1, 5)
+        bits = FIELD_BITS[case % len(FIELD_BITS)]
+        # free factors dominate, so the largest level comes near the bound
+        # total weight * top that sets the field width; some factors are 0
+        factors = [
+            [rng.randint(1 << 8, 1 << 9), *(rng.choice((0, rng.randint(1, 16))) for _ in range(n))] for _ in range(n)
+        ]
+        # every constraint set takes one factor of position 0, so scaling
+        # that position scales every level: the largest gets `bits` bits
+        largest = max(reference_level_sums(factors)[0])
+        scale = rng.randint(-(-(1 << (bits - 1)) // largest), ((1 << bits) - 1) // largest)
+        factors[0] = [scale * f for f in factors[0]]
+        dims, hom, total = reference_level_sums(factors)
+        assert max(dims).bit_length() == bits
+        assert summands.homology_dims(factors, dims) == hom, factors
+        if (total * summand_table(n).top).bit_length() == bits:
+            tight.add(bits)
+    # cases whose width bound has exactly the bits of their largest level:
+    # a width one bit short of the bound carries there
+    assert tight >= {65, 129}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
