@@ -508,17 +508,16 @@ def verify_euler(
     the color-independent summands C(N, j) (see `summands`), each occurring
     prod_{i not in N} x_i * prod_{i in N} (x_i^(s_{j_i}) - x_i) times; the
     summed dimensions must reproduce the counting formula at every level.
-    n is capped at `bruhat.N_CAP` before any work.  budget caps the total
-    dimension of a complex whose cohomology is asked for (not with
-    skip_homology), checked after the s-vector and the n·n! counting-formula
+    n is capped at `bruhat.N_CAP` before any work.  budget must be an
+    integer, with skip_homology too, and is read before the n·n!
+    counting-formula sum; it caps the total dimension of a complex whose
+    cohomology is asked for (not with skip_homology), checked after that
     sum, before the summand walk.
     """
     from .gendet import _grid_report
 
     xs, s = _colors_and_s(d, x)
-    grid = _color_grid(xs, s)
-    factors = [[xi] + [xi**sj - xi for sj in s] for xi in xs]
-    return _grid_report(grid, factors, skip_homology, budget, x=xs, s=s)
+    return _grid_report(_color_grid(xs, s), xs, skip_homology, budget, x=xs, s=s)
 
 
 @dataclass(frozen=True)

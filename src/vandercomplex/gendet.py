@@ -139,20 +139,22 @@ def _grid_dims(rows) -> list[int]:
     ]
 
 
-def _grid_report(grid, factors, skip_homology: bool, budget: int, x=None, s=None) -> HomologyReport:
+def _grid_report(grid, base, skip_homology: bool, budget: int, x=None, s=None) -> HomologyReport:
     """The report body shared by verify_euler and matrix_report.
 
-    Dimensions and determinant are those of the grid; the cohomology, unless
-    skipped, is summed over the summands C(N, j) with the given multiplicity
-    factors (see `summands.homology_dims`) once the budget is checked.  n is
-    capped at `bruhat.N_CAP`.
+    budget is read before any work.  Dimensions and determinant are those
+    of the grid; the cohomology, unless skipped, is summed over the
+    summands C(N, j) once the budget is checked.  Position i's multiplicity
+    factor (see `summands`) is base[i] when free and grid[i][j] - base[i]
+    when held at column j.  n is capped at `bruhat.N_CAP`.
     """
     t0 = perf_counter()
+    budget = strict_int(budget, "budget")
     dims = _grid_dims(grid)
     hom = None
     if not skip_homology:
         check_budget(dims, budget)
-        hom = homology_dims(factors, dims)
+        hom = homology_dims([[b] + [v - b for v in row] for b, row in zip(base, grid)], dims)
     euler = euler_characteristic(dims)
     det = det_exact(grid)
     return HomologyReport(
@@ -197,13 +199,13 @@ def matrix_report(
 
     As in verify_euler, the dimensions come from the counting formula and
     the cohomology, unless skip_homology is set, from the summands C(N, j),
-    each occurring prod_{i in N} (m[i][j_i] - 1) times.  n is capped at
-    `bruhat.N_CAP` before any work; budget is checked on the total
+    each occurring prod_{i in N} (m[i][j_i] - 1) times.  budget must be an
+    integer, with skip_homology too, and is read before any work; n is
+    capped at `bruhat.N_CAP` next.  budget is checked on the total
     dimension after the n·n! counting-formula sum and before the summand
     walk.
     """
-    factors = [[1] + [v - 1 for v in row] for row in m.entries]
-    return _grid_report(m.entries, factors, skip_homology, budget)
+    return _grid_report(m.entries, [1] * m.n, skip_homology, budget)
 
 
 def random_matrix(n: int, max_entry: int, rng) -> PosIntMatrix:

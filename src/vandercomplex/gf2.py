@@ -31,7 +31,9 @@ bit first, so identical inputs give identical output bits on every run.
 Matrix values are treated as immutable by the rest of the package.
 Indices outside a matrix raise ValidationError, and row ints, positions
 and cycles must be Python ints: floats, bools and numpy integers are
-refused, not rounded.
+refused, not rounded.  Shapes and submatrix bounds take any integer but
+a bool, never a float (`_integer`), and a negative shape is refused
+(`_size`, which `QuotientSpace` reads its vector length by too).
 """
 
 from __future__ import annotations
@@ -57,6 +59,22 @@ def _check_bytes(rows: int, cols: int) -> None:
             f"{rows}x{cols} matrix needs {size} packed bytes, "
             f"over the {MAX_MATRIX_BYTES} byte ceiling"
         )
+
+
+def _integer(value, what: str) -> int:
+    """value as an int: a float is refused even when whole, then strict_int
+    reads the rest."""
+    if isinstance(value, float):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return strict_int(value, what)
+
+
+def _size(value, what: str) -> int:
+    """A shape: an `_integer` that is not negative."""
+    value = _integer(value, what)
+    if value < 0:
+        raise ValidationError(f"{what} must be nonnegative, got {value}")
+    return value
 
 
 def _index(i, size: int, what: str, of: str) -> int:
@@ -85,8 +103,7 @@ class GF2Matrix:
     __slots__ = ("rows", "cols", "ints")
 
     def __init__(self, rows: int, cols: int, ints: list[int] | None = None):
-        if rows < 0 or cols < 0:
-            raise ValidationError("matrix dimensions must be nonnegative")
+        rows, cols = _size(rows, "row count"), _size(cols, "column count")
         if ints is None:
             _check_bytes(rows, cols)
             ints = [0] * rows
@@ -102,6 +119,7 @@ class GF2Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
+        n = _size(n, "identity size")
         _check_bytes(n, n)
         return cls(n, n, [1 << i for i in range(n)])
 
@@ -116,6 +134,7 @@ class GF2Matrix:
         cancel.  The byte ceiling is not applied here: callers that build
         large matrices check it first, as assembly does.
         """
+        rows, cols = _size(rows, "row count"), _size(cols, "column count")
         pairs = list(coords)
         ints = [0] * rows
         if not pairs:
@@ -170,6 +189,7 @@ class GF2Matrix:
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "GF2Matrix":
         """Copy of the half-open row and column range."""
+        r0, r1, c0, c1 = (_integer(v, "submatrix bound") for v in (r0, r1, c0, c1))
         if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise ValidationError("submatrix range out of bounds")
         mask = (1 << (c1 - c0)) - 1
@@ -281,11 +301,7 @@ class QuotientSpace:
     """
 
     def __init__(self, cycles: list[int], boundaries: dict[int, int], n: int):
-        if isinstance(n, float):
-            raise ValidationError(f"vector length must be an integer, got {n!r}")
-        n = strict_int(n, "vector length")
-        if n < 0:
-            raise ValidationError(f"vector length must be nonnegative, got {n}")
+        n = _size(n, "vector length")
         if not isinstance(boundaries, dict):
             raise ValidationError(f"boundaries must be an insertion table, got {type(boundaries).__name__}")
         _check_vectors(cycles, n, "cycle")

@@ -8,16 +8,18 @@ arcs.  A diagram is closed when every identifier is used exactly twice
 across all crossings; crossingless circle components are carried in a
 separate free_loops count.
 
-Every circle count goes through one routine: a call indexes the arc ends
-0..m-1 once, stores each crossing's two pairings as index pairs, and
-counts the circles of each smoothing it needs with a union-find over a
-flat parent list.  Only the public entry points that take a caller's
-smoothing validate it.
+A diagram indexes its arc ends once, when it is made: the pass that
+checks closure numbers the arc ids 0..m-1 by first use and keeps each
+crossing's two smoothings as pairs of those numbers in two flat lists.
+Every circle count is a union-find over a flat parent list joining a
+flat list of such pairs.  Only the public entry points that take a
+caller's smoothing validate it.
 """
 
 import json
-from dataclasses import dataclass
-from itertools import product
+from collections.abc import Iterable
+from dataclasses import dataclass, field
+from itertools import chain, product
 
 from .errors import (
     FormatError,
@@ -75,35 +77,51 @@ class Crossing:
 
 @dataclass(frozen=True)
 class LinkDiagram:
-    """An ordered list of crossings plus crossingless circle components."""
+    """An ordered list of crossings plus crossingless circle components.
+
+    _ids holds the arc ids by first use; _zeros and _ones hold, two pairs
+    per crossing, its 0- and 1-smoothing as pairs of positions in _ids.
+    """
 
     crossings: tuple[Crossing, ...]
     free_loops: int = 0
+    _ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _zeros: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _ones: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.crossings, Iterable):
+            raise ValidationError(f"crossings must be an iterable of crossings, got {type(self.crossings).__name__}")
         object.__setattr__(self, "crossings", tuple(self.crossings))
         object.__setattr__(self, "free_loops", strict_int(self.free_loops, "free_loops"))
         if self.free_loops < 0:
             raise ValidationError("free_loops must be nonnegative")
-        counts: dict[int, int] = {}
-        for c in self.crossings:
-            for e in c.ends:
-                counts[e] = counts.get(e, 0) + 1
-        bad = sorted(e for e, k in counts.items() if k != 2)
+        index: dict[int, int] = {}  # arc id -> its number, by first use
+        uses: list[int] = []  # per number, how often its id occurs
+        zeros, ones = [], []
+        for k, c in enumerate(self.crossings):
+            if not isinstance(c, Crossing):
+                raise ValidationError(f"crossing {k} must be a Crossing, got {type(c).__name__}")
+            for e in c.zero[0] + c.zero[1]:
+                if e not in index:
+                    index[e] = len(uses)
+                    uses.append(0)
+                uses[index[e]] += 1
+            zeros += [(index[a], index[b]) for a, b in c.zero]
+            ones += [(index[a], index[b]) for a, b in c.one]
+        bad = sorted(e for e, i in index.items() if uses[i] != 2)
         if bad:
-            raise StructureError(
-                f"diagram is not closed: arc end(s) {bad} used other than twice"
-            )
+            raise StructureError(f"diagram is not closed: arc end(s) {bad} used other than twice")
+        object.__setattr__(self, "_ids", tuple(index))
+        object.__setattr__(self, "_zeros", tuple(zeros))
+        object.__setattr__(self, "_ones", tuple(ones))
 
     @property
     def n(self) -> int:
         return len(self.crossings)
 
     def arc_ids(self) -> list[int]:
-        ids = set()
-        for c in self.crossings:
-            ids.update(c.ends)
-        return sorted(ids)
+        return sorted(self._ids)
 
     def reordered(self, ordering) -> "LinkDiagram":
         """Same diagram with crossing k taken from original position ordering[k]."""
@@ -197,35 +215,26 @@ def _validate_smoothing(d: LinkDiagram, smoothing) -> tuple[int, ...]:
     return bits
 
 
-def _indexed(d: LinkDiagram) -> tuple[list[int], list[tuple]]:
-    """The arc ids in order of first use, and per crossing its zero and one
-    pairings as pairs of positions in that list."""
-    index: dict[int, int] = {}
-    for c in d.crossings:
-        for e in c.ends:
-            index.setdefault(e, len(index))
-    pairings = [
-        tuple(tuple((index[a], index[b]) for a, b in p) for p in (c.zero, c.one))
-        for c in d.crossings
-    ]
-    return list(index), pairings
-
-
-def _resolve(m: int, pairings, bits, free_loops: int) -> tuple[int, list[int]]:
-    """Circles of a smoothing of m indexed arc ends, plus free_loops, and the
-    union-find parent list (path halving) that found them."""
+def _resolve(m: int, pairs, free_loops: int) -> tuple[int, list[int]]:
+    """Circles of m indexed arc ends joined by pairs, plus free_loops, and
+    the union-find parent list (path halving) that found them."""
     parent = list(range(m))
     count = m + free_loops
-    for crossing, bit in zip(pairings, bits):
-        for a, b in crossing[bit]:
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[a] = b
-                count -= 1
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            count -= 1
     return count, parent
+
+
+def _joined(d: LinkDiagram, bits) -> list[tuple[int, int]]:
+    """The pairs a smoothing joins: crossing k's two from _ones or _zeros."""
+    sides = d._zeros, d._ones
+    return [p for k, bit in enumerate(bits) for p in sides[bit][2 * k : 2 * k + 2]]
 
 
 def circle_count(d: LinkDiagram, smoothing) -> int:
@@ -235,8 +244,7 @@ def circle_count(d: LinkDiagram, smoothing) -> int:
     selected by the smoothing.
     """
     bits = _validate_smoothing(d, smoothing)
-    ids, pairings = _indexed(d)
-    return _resolve(len(ids), pairings, bits, d.free_loops)[0]
+    return _resolve(len(d._ids), _joined(d, bits), d.free_loops)[0]
 
 
 def circles(d: LinkDiagram, smoothing) -> list[tuple[int, ...]]:
@@ -247,10 +255,9 @@ def circles(d: LinkDiagram, smoothing) -> list[tuple[int, ...]]:
     the count.
     """
     bits = _validate_smoothing(d, smoothing)
-    ids, pairings = _indexed(d)
-    _, parent = _resolve(len(ids), pairings, bits, 0)
+    _, parent = _resolve(len(d._ids), _joined(d, bits), 0)
     groups: dict[int, list[int]] = {}
-    for i, e in enumerate(ids):
+    for i, e in enumerate(d._ids):
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         groups.setdefault(i, []).append(e)
@@ -261,11 +268,8 @@ def s_vector(d: LinkDiagram) -> tuple[int, ...]:
     """Circle counts s_1..s_n where s_k 1-smooths the first k crossings."""
     if d.n < 1:
         raise PreconditionError("s_vector needs at least one crossing")
-    ids, pairings = _indexed(d)
-    m, n, loops = len(ids), d.n, d.free_loops
-    return tuple(
-        _resolve(m, pairings, (1,) * k + (0,) * (n - k), loops)[0] for k in range(1, n + 1)
-    )
+    zeros, ones, m = d._zeros, d._ones, len(d._ids)
+    return tuple(_resolve(m, ones[: 2 * k] + zeros[2 * k :], d.free_loops)[0] for k in range(1, d.n + 1))
 
 
 def is_height_uniform(d: LinkDiagram) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
@@ -277,18 +281,13 @@ def is_height_uniform(d: LinkDiagram) -> tuple[bool, tuple[tuple[int, ...], tupl
     """
     if d.n > SMOOTHING_CAP:
         raise SizeError(f"{d.n} crossings means 2^{d.n} smoothings, over the cap {SMOOTHING_CAP}")
-    ids, pairings = _indexed(d)
-    m = len(ids)
+    m, choices = len(d._ids), [(d._zeros[i : i + 2], d._ones[i : i + 2]) for i in range(0, 2 * d.n, 2)]
     seen: dict[int, tuple[tuple[int, ...], int]] = {}
-    for bits in product((0, 1), repeat=d.n):
-        h = sum(bits)
-        c = _resolve(m, pairings, bits, d.free_loops)[0]
-        if h in seen:
-            first, count = seen[h]
-            if count != c:
-                return False, (first, bits)
-        else:
-            seen[h] = (bits, c)
+    for bits, joined in zip(product((0, 1), repeat=d.n), product(*choices)):
+        c = _resolve(m, chain.from_iterable(joined), d.free_loops)[0]
+        first, count = seen.setdefault(sum(bits), (bits, c))
+        if count != c:
+            return False, (first, bits)
     return True, None
 
 

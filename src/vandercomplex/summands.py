@@ -13,13 +13,15 @@ differential sends p to its covers in the set: the swaps of two positions
 outside N that raise the inversion count by exactly one.  So a row is
 filled from its own members, and this route builds no S_n poset.  C(N, j)
 does not depend on the colors; only its number of copies does, and that
-is a product of one factor per position:
+is a product of one factor per position, read off the complex's grid g
+and a base b by one rule: b_i for a free position, g[i][j] - b_i for a
+position i held at column j (`gendet._grid_report`).
 
-- link complexes: x_i for a free position, x_i^(s_j) - x_i (the
-  nonconstant strings) for a position i held at value j;
-- matrix complexes, in the basis f_0 = e_0, f_a = e_a + e_0 of each factor,
-  where unit-after-counit keeps f_0 and kills every f_a: 1 for a free
-  position, m[i][j] - 1 for a position i held at column j.
+- link complexes: g[i][j] = x_i^(s_j) and b_i = x_i, so a held position
+  counts the nonconstant strings;
+- matrix complexes: g = m and b_i = 1, in the basis f_0 = e_0,
+  f_a = e_a + e_0 of each factor, where unit-after-counit keeps f_0 and
+  kills every f_a.
 
 `summand_table(n)` holds dim C^k(N, j) and dim H^k(N, j) of the constraint
 sets of S_n.  A set is looked up by an integer key, its code's digits in

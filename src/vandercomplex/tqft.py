@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import SizeError, ValidationError
-from .gf2 import GF2Matrix
+from .gf2 import GF2Matrix, _check_bytes
 
 FROBENIUS_CAP = 8  # the largest algebra dimension frobenius_check takes
 TENSOR_BUDGET = 1 << 28  # entries of an assembled Kronecker product
@@ -46,7 +46,8 @@ def connected_map(spec: AlgebraSpec, r: int, l: int) -> GF2Matrix:
 
     Shape dim^l x dim^r.  For r = 0 this is the unit followed by splits
     (the column summing all constant outputs); for l = 0 it is merges
-    followed by the counit (the row hitting all constant inputs).
+    followed by the counit (the row hitting all constant inputs).  A shape
+    over the `gf2` byte ceiling is refused before anything is built.
     """
     if r < 0 or l < 0:
         raise ValidationError("circle counts must be nonnegative")
@@ -55,6 +56,7 @@ def connected_map(spec: AlgebraSpec, r: int, l: int) -> GF2Matrix:
             "a closed component has no boundary; use sphere_scalar instead"
         )
     d = spec.dim
+    _check_bytes(d**l, d**r)
     coords = [
         (constant_tensor_index(a, l, d), constant_tensor_index(a, r, d))
         for a in range(d)
@@ -68,8 +70,10 @@ def sphere_scalar(spec: AlgebraSpec) -> int:
 
 
 def structure_maps(spec: AlgebraSpec) -> tuple[GF2Matrix, GF2Matrix, GF2Matrix, GF2Matrix]:
-    """The four structure matrices (mul, unit, comul, counit)."""
+    """The four structure matrices (mul, unit, comul, counit), refused
+    over the `gf2` byte ceiling before any is built."""
     d = spec.dim
+    _check_bytes(d * d, d)  # comul, the largest of the four
     mul = GF2Matrix.from_triplets(d, d * d, [(a, a * d + a) for a in range(d)])
     unit = GF2Matrix.from_triplets(d, 1, [(a, 0) for a in range(d)])
     comul = GF2Matrix.from_triplets(d * d, d, [(a * d + a, a) for a in range(d)])
@@ -78,7 +82,9 @@ def structure_maps(spec: AlgebraSpec) -> tuple[GF2Matrix, GF2Matrix, GF2Matrix, 
 
 
 def swap_map(d: int) -> GF2Matrix:
-    """The tensor-factor swap on a d*d-dimensional two-factor space."""
+    """The tensor-factor swap on a d*d-dimensional two-factor space,
+    refused over the `gf2` byte ceiling before its d*d positions are listed."""
+    _check_bytes(d * d, d * d)
     return GF2Matrix.from_triplets(
         d * d, d * d, [(b * d + a, a * d + b) for a in range(d) for b in range(d)]
     )

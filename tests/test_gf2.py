@@ -622,3 +622,40 @@ def test_matrices_built_inside_the_package_skip_the_row_check(monkeypatch):
     assert GF2Matrix.from_triplets(2, 2, [(0, 1), (1, 0)]).ints == [0b10, 0b01]
     assert q.coordinates(b).ints == [0b11]
     build_complex(torus_two_n(3), (2, 1, 2))  # assembled levels
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: GF2Matrix(True, 2), r"^row count must be an integer, got True$", id="bool-rows"),
+        pytest.param(lambda: GF2Matrix(2.0, 2), r"^row count must be an integer, got 2\.0$", id="float-rows"),
+        pytest.param(lambda: GF2Matrix("2", 2), r"^row count must be an integer, got '2'$", id="str-rows"),
+        pytest.param(lambda: GF2Matrix(2, -1), r"^column count must be nonnegative, got -1$", id="negative-cols"),
+        pytest.param(lambda: GF2Matrix.identity(2.0), r"^identity size must be an integer, got 2\.0$", id="identity-float"),
+        pytest.param(lambda: GF2Matrix.identity(-1), r"^identity size must be nonnegative, got -1$", id="identity-negative"),
+        pytest.param(
+            lambda: GF2Matrix.from_triplets(2.0, 2, []), r"^row count must be an integer, got 2\.0$", id="triplets-float"
+        ),
+        pytest.param(
+            lambda: GF2Matrix.from_triplets(2, None, [(0, 0)]), r"^column count must be an integer, got None$", id="triplets-none"
+        ),
+        pytest.param(
+            lambda: GF2Matrix.identity(2).submatrix(0, 1, 0, 1.5),
+            r"^submatrix bound must be an integer, got 1\.5$",
+            id="submatrix-fraction",
+        ),
+        pytest.param(
+            lambda: GF2Matrix.identity(2).submatrix(0, 1.0, 0, 1),
+            r"^submatrix bound must be an integer, got 1\.0$",
+            id="submatrix-whole-float",
+        ),
+    ],
+)
+def test_shapes_and_bounds_are_nonfloat_integers(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_shapes_and_bounds_take_numpy_integers():
+    assert GF2Matrix(np.int64(2), np.uint8(3)).to_rows() == [[0, 0, 0], [0, 0, 0]]
+    assert GF2Matrix.identity(np.int64(2)).submatrix(np.int64(0), 1, 0, np.int32(2)).to_rows() == [[1, 0]]

@@ -283,3 +283,93 @@ def test_random_diagram_closed_and_seeded():
     for _ in range(20):
         n = rng1.randint(1, 4)
         assert random_diagram(n, rng1) == random_diagram(rng2.randint(1, 4), rng2)
+
+
+@pytest.mark.parametrize(
+    "crossings, message",
+    [
+        pytest.param([5], r"^crossing 0 must be a Crossing, got int$", id="int"),
+        pytest.param(None, r"^crossings must be an iterable of crossings, got NoneType$", id="none"),
+        pytest.param(
+            [torus_two_n(1).crossings[0], (1, 1, 2, 2)],
+            r"^crossing 1 must be a Crossing, got tuple$",
+            id="tuple-after-a-crossing",
+        ),
+        pytest.param("ab", r"^crossing 0 must be a Crossing, got str$", id="str"),
+    ],
+)
+def test_entries_that_are_not_crossings_are_refused(crossings, message):
+    with pytest.raises(ValidationError, match=message):
+        LinkDiagram(crossings)
+
+
+def reference_groups(d, smoothing):
+    """Reference circles: a union-find over the raw arc ids in a dict, each
+    circle as its sorted arc ids, ordered by smallest member."""
+    parent = {e: e for c in d.crossings for e in c.ends}
+
+    def root(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    for crossing, bit in zip(d.crossings, smoothing):
+        for a, b in crossing.pairing(bit):
+            parent[root(a)] = root(b)
+    groups = defaultdict(list)
+    for e in parent:
+        groups[root(e)].append(e)
+    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
+
+
+def reference_s_vector(d):
+    return tuple(
+        len(reference_groups(d, (1,) * k + (0,) * (d.n - k))) + d.free_loops for k in range(1, d.n + 1)
+    )
+
+
+def relabeled_corpus(max_n, seed):
+    """Random diagrams of n = 1..max_n with 0-2 free loops, and unions of
+    torus closures, their arc ids shuffled and moved to negative ids and
+    ids past 2^40."""
+    rng = random.Random(seed)
+    corpus = [random_diagram(n, rng, rng.randint(0, 2)) for n in range(1, max_n + 1) for _ in range(3)]
+    corpus.append(disjoint_union(torus_two_n(1), LinkDiagram(torus_two_n(2).crossings, 1)))
+    out = []
+    for d in corpus:
+        ids = d.arc_ids()
+        pool = list(range(-len(ids), 0)) + [(1 << 40) + 3 * i for i in range(len(ids))]
+        out.append(relabeled(d, dict(zip(ids, rng.sample(pool, len(ids))))))
+    assert {d.free_loops for d in out} == {0, 1, 2}
+    return out
+
+
+def test_indexed_counts_match_a_union_find_over_raw_arc_ids():
+    verdicts = set()
+    for d in relabeled_corpus(6, 28):
+        seen = {}
+        expected_uniform = (True, None)
+        for bits in product((0, 1), repeat=d.n):
+            groups = reference_groups(d, bits)
+            assert circles(d, bits) == groups, (d, bits)
+            count = len(groups) + d.free_loops
+            assert circle_count(d, bits) == count, (d, bits)
+            first = seen.setdefault(sum(bits), (bits, count))
+            if first[1] != count and expected_uniform[0]:
+                expected_uniform = (False, (first[0], bits))
+        assert is_height_uniform(d) == expected_uniform, d
+        verdicts.add(expected_uniform[0])
+        assert s_vector(d) == reference_s_vector(d), d
+    assert verdicts == {True, False}
+    for d in relabeled_corpus(8, 29) + [torus_two_n(n) for n in range(1, 9)]:
+        assert s_vector(d) == reference_s_vector(d), d
+
+
+def test_indexed_form_leaves_identity_alone():
+    d = torus_two_n(2)
+    again = LinkDiagram(list(torus_two_n(2).crossings))
+    assert d == again and hash(d) == hash(again)
+    assert d != LinkDiagram(d.crossings, 1)
+    assert repr(d) == f"LinkDiagram(crossings={d.crossings!r}, free_loops=0)"
+    assert parse_diagram(format_diagram(d)) == d
+    assert d.arc_ids() == [1, 2, 3, 4]

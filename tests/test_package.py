@@ -34,6 +34,14 @@ def _verify_torus(budget):
     return vandercomplex.verify_euler(vandercomplex.torus_two_n(2), (1, 2), budget=budget)
 
 
+def _skip_torus(budget):
+    return vandercomplex.verify_euler(vandercomplex.torus_two_n(2), (1, 2), skip_homology=True, budget=budget)
+
+
+def _skip_matrix(budget):
+    return vandercomplex.matrix_report(vandercomplex.PosIntMatrix(((1, 2), (3, 4))), skip_homology=True, budget=budget)
+
+
 def _random_diagram(n):
     return vandercomplex.random_diagram(n, random.Random(0))
 
@@ -47,6 +55,9 @@ def _random_diagram(n):
         pytest.param(vandercomplex.mahonian_distribution, None, "group size", id="mahonian-none"),
         pytest.param(_verify_torus, None, "budget", id="verify_euler-budget-none"),
         pytest.param(_verify_torus, 1e9 + 0.5, "budget", id="verify_euler-budget-fraction"),
+        pytest.param(_skip_torus, "x", "budget", id="verify_euler-skip-budget-str"),
+        pytest.param(_skip_torus, None, "budget", id="verify_euler-skip-budget-none"),
+        pytest.param(_skip_matrix, 2.5, "budget", id="matrix_report-skip-budget-fraction"),
         pytest.param(_random_diagram, 2.5, "crossing count", id="random_diagram-fraction"),
         pytest.param(_random_diagram, "3", "crossing count", id="random_diagram-str"),
         pytest.param(_random_diagram, True, "crossing count", id="random_diagram-bool"),

@@ -152,3 +152,9 @@ def test_tensor_assemble_budget():
     big = GF2Matrix.identity(64)
     with pytest.raises(SizeError, match="64x64"):
         tensor_assemble([big] * 5)
+
+
+def test_connected_map_over_the_byte_ceiling_is_refused_before_building():
+    # 2^40 rows would be allocated before any coordinate is placed
+    with pytest.raises(SizeError, match=r"^1099511627776x1099511627776 matrix needs .* byte ceiling$"):
+        connected_map(AlgebraSpec(2), 40, 40)
