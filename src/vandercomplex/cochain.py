@@ -47,7 +47,7 @@ from operator import itemgetter, lshift, mul, xor
 from time import perf_counter
 
 from .bruhat import Perm, build_bruhat, covers, inversions, validate_n, validate_perm
-from .errors import PreconditionError, SizeError, ValidationError, strict_int
+from .errors import PreconditionError, SizeError, ValidationError, strict_int, strict_items
 from .gf2 import GF2Matrix, _check_bytes, _index, _matrix
 from .linkdiag import LinkDiagram, is_height_uniform, s_vector
 from .summands import _cohomology
@@ -58,7 +58,7 @@ DEFAULT_DIM_BUDGET = 10**7
 
 
 def validate_colors(x) -> ColorVector:
-    xs = tuple(strict_int(v, "color") for v in x)
+    xs = tuple(strict_int(v, "color") for v in strict_items(x, "color vector", "colors"))
     if not xs or any(v < 1 for v in xs):
         raise ValidationError(f"color vector entries must be positive integers: {x!r}")
     return xs

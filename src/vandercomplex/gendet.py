@@ -21,6 +21,7 @@ color-independent summands as the link complexes (see `summands`);
 matrix_report takes its cohomology from them.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import permutations
 from math import prod
@@ -35,7 +36,8 @@ from .cochain import (
     check_budget,
     euler_characteristic,
 )
-from .errors import FormatError, PreconditionError, SizeError, ValidationError, read_json, strict_int
+from .errors import FormatError, PreconditionError, SizeError, ValidationError, read_json, strict_int, strict_items
+from .gf2 import _size
 from .summands import homology_dims
 
 EXPANSION_CAP = 12  # the largest n whose n! terms det_permutation_expansion sums
@@ -48,26 +50,35 @@ class PosIntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(strict_int(v, "matrix entry") for v in row) for row in self.entries)
-        n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
-            raise ValidationError("matrix must be square and nonempty")
+        rows = _square(self.entries)
         if any(v < 1 for row in rows for v in row):
             raise ValidationError("matrix entries must be positive integers")
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "entries", tuple(map(tuple, rows)))
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
 
+def _square(rows) -> list[list[int]]:
+    """rows as a nonempty square grid of ints; a non-iterable matrix or
+    row, a non-integer entry or a grid that is not square is refused."""
+    rows = strict_items(rows, "matrix", "rows")
+    try:
+        grid = [[strict_int(v, "matrix entry") for v in row] for row in rows]
+    except TypeError:  # name the first row that is not iterable
+        i = next((i for i, row in enumerate(rows) if not isinstance(row, Iterable)), None)
+        if i is None:
+            raise
+        raise ValidationError(f"matrix row {i} must be an iterable of entries, got {type(rows[i]).__name__}") from None
+    if not grid or any(len(row) != len(grid) for row in grid):
+        raise ValidationError("matrix must be square and nonempty")
+    return grid
+
+
 def _int_rows(m) -> list[list[int]]:
     """Accept a PosIntMatrix or any square grid of integers."""
-    rows = m.entries if isinstance(m, PosIntMatrix) else m
-    a = [[strict_int(v, "matrix entry") for v in row] for row in rows]
-    if not a or any(len(row) != len(a) for row in a):
-        raise ValidationError("determinant needs a nonempty square matrix")
-    return a
+    return list(map(list, m.entries)) if isinstance(m, PosIntMatrix) else _square(m)
 
 
 def det_exact(m) -> int:
@@ -111,8 +122,10 @@ def det_permutation_expansion(m) -> int:
 
 def vandermonde_matrix(x, s) -> PosIntMatrix:
     """The matrix with entry (i, j) equal to x_i to the power s_j."""
-    xs = tuple(strict_int(v, "x entry") for v in x)
-    ss = tuple(strict_int(v, "s entry") for v in s)
+    xs = tuple(strict_int(v, "x entry") for v in strict_items(x, "x", "integers"))
+    ss = tuple(strict_int(v, "s entry") for v in strict_items(s, "s", "integers"))
+    if any(v < 0 for v in ss):
+        raise ValidationError(f"s entry must be nonnegative, got {min(ss)}")
     if len(xs) != len(ss):
         raise PreconditionError("x and s must have the same length")
     return PosIntMatrix(tuple(tuple(xi**sj for sj in ss) for xi in xs))
@@ -209,7 +222,13 @@ def matrix_report(
 
 
 def random_matrix(n: int, max_entry: int, rng) -> PosIntMatrix:
-    """Uniform random entries in 1..max_entry."""
+    """Uniform random entries in 1..max_entry; n must be positive and
+    max_entry at least 1."""
+    n, max_entry = _size(n, "matrix size n"), strict_int(max_entry, "max_entry")
+    if n < 1:
+        raise ValidationError(f"matrix size n must be positive, got {n}")
+    if max_entry < 1:
+        raise ValidationError(f"max_entry must be at least 1, got {max_entry}")
     return PosIntMatrix(
         tuple(tuple(rng.randint(1, max_entry) for _ in range(n)) for _ in range(n))
     )

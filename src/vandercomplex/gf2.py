@@ -33,7 +33,8 @@ Indices outside a matrix raise ValidationError, and row ints, positions
 and cycles must be Python ints: floats, bools and numpy integers are
 refused, not rounded.  Shapes and submatrix bounds take any integer but
 a bool, never a float (`_integer`), and a negative shape is refused
-(`_size`, which `QuotientSpace` reads its vector length by too).
+(`_size`, which `QuotientSpace` reads its vector length by too, and
+`tqft` and `gendet.random_matrix` their sizes).
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ caller's smoothing validate it.
 """
 
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, product
 
@@ -29,6 +28,7 @@ from .errors import (
     ValidationError,
     read_json,
     strict_int,
+    strict_items,
 )
 
 SMOOTHING_CAP = 20  # the most crossings whose 2^n smoothings is_height_uniform scans
@@ -90,9 +90,7 @@ class LinkDiagram:
     _ones: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.crossings, Iterable):
-            raise ValidationError(f"crossings must be an iterable of crossings, got {type(self.crossings).__name__}")
-        object.__setattr__(self, "crossings", tuple(self.crossings))
+        object.__setattr__(self, "crossings", strict_items(self.crossings, "crossings", "crossings"))
         object.__setattr__(self, "free_loops", strict_int(self.free_loops, "free_loops"))
         if self.free_loops < 0:
             raise ValidationError("free_loops must be nonnegative")

@@ -10,13 +10,16 @@ e_a, anything else goes to zero.  Connected maps are generated straight
 from this rule, never by composing individual merge/split matrices.
 
 Genus is therefore not represented anywhere in this package.
+
+Sizes are read by `gf2`'s shape rule (`_size`), and every matrix is built
+as row integers once the `gf2` byte ceiling admits its shape.
 """
 
 from dataclasses import dataclass
 from math import prod
 
 from .errors import SizeError, ValidationError
-from .gf2 import GF2Matrix, _check_bytes
+from .gf2 import GF2Matrix, _check_bytes, _matrix, _size
 
 FROBENIUS_CAP = 8  # the largest algebra dimension frobenius_check takes
 TENSOR_BUDGET = 1 << 28  # entries of an assembled Kronecker product
@@ -29,8 +32,10 @@ class AlgebraSpec:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError(f"algebra dimension must be positive, got {self.dim}")
+        dim = _size(self.dim, "algebra dimension")
+        if dim < 1:
+            raise ValidationError(f"algebra dimension must be positive, got {dim}")
+        object.__setattr__(self, "dim", dim)
 
 
 def constant_tensor_index(value: int, count: int, radix: int) -> int:
@@ -49,19 +54,15 @@ def connected_map(spec: AlgebraSpec, r: int, l: int) -> GF2Matrix:
     followed by the counit (the row hitting all constant inputs).  A shape
     over the `gf2` byte ceiling is refused before anything is built.
     """
-    if r < 0 or l < 0:
-        raise ValidationError("circle counts must be nonnegative")
+    r, l = _size(r, "input circle count r"), _size(l, "output circle count l")
     if r == 0 and l == 0:
-        raise ValidationError(
-            "a closed component has no boundary; use sphere_scalar instead"
-        )
+        raise ValidationError("a closed component has no boundary; use sphere_scalar instead")
     d = spec.dim
     _check_bytes(d**l, d**r)
-    coords = [
-        (constant_tensor_index(a, l, d), constant_tensor_index(a, r, d))
-        for a in range(d)
-    ]
-    return GF2Matrix.from_triplets(d**l, d**r, coords)
+    ints = [0] * d**l
+    for a in range(d):  # with l = 0 every input lands on the one row
+        ints[constant_tensor_index(a, l, d)] |= 1 << constant_tensor_index(a, r, d)
+    return _matrix(d**l, d**r, ints)
 
 
 def sphere_scalar(spec: AlgebraSpec) -> int:
@@ -70,24 +71,19 @@ def sphere_scalar(spec: AlgebraSpec) -> int:
 
 
 def structure_maps(spec: AlgebraSpec) -> tuple[GF2Matrix, GF2Matrix, GF2Matrix, GF2Matrix]:
-    """The four structure matrices (mul, unit, comul, counit), refused
-    over the `gf2` byte ceiling before any is built."""
+    """The connected maps mul, unit, comul and counit ((r, l) = (2, 1), (0, 1),
+    (1, 2), (1, 0)), refused over the `gf2` byte ceiling before any is built."""
     d = spec.dim
     _check_bytes(d * d, d)  # comul, the largest of the four
-    mul = GF2Matrix.from_triplets(d, d * d, [(a, a * d + a) for a in range(d)])
-    unit = GF2Matrix.from_triplets(d, 1, [(a, 0) for a in range(d)])
-    comul = GF2Matrix.from_triplets(d * d, d, [(a * d + a, a) for a in range(d)])
-    counit = GF2Matrix.from_triplets(1, d, [(0, a) for a in range(d)])
-    return mul, unit, comul, counit
+    return tuple(connected_map(spec, r, l) for r, l in ((2, 1), (0, 1), (1, 2), (1, 0)))
 
 
 def swap_map(d: int) -> GF2Matrix:
     """The tensor-factor swap on a d*d-dimensional two-factor space,
-    refused over the `gf2` byte ceiling before its d*d positions are listed."""
+    refused over the `gf2` byte ceiling before any row is built."""
+    d = _size(d, "swap factor dimension d")
     _check_bytes(d * d, d * d)
-    return GF2Matrix.from_triplets(
-        d * d, d * d, [(b * d + a, a * d + b) for a in range(d) for b in range(d)]
-    )
+    return _matrix(d * d, d * d, [1 << (a * d + b) for b in range(d) for a in range(d)])
 
 
 def frobenius_check(spec: AlgebraSpec) -> bool:
@@ -124,20 +120,22 @@ def tensor_assemble(factors) -> GF2Matrix:
 
     Index convention is mixed-radix with the leftmost factor most
     significant.  An empty list gives the 1x1 identity.  A product of more
-    than TENSOR_BUDGET entries is refused before it is built.
+    than TENSOR_BUDGET entries, or over the `gf2` byte ceiling, is refused
+    before it is built.  A product row is a right-factor row shifted to each
+    set bit of a left row: one multiply by the left row spread to its width.
     """
     factors = list(factors)
+    for i, f in enumerate(factors):
+        if not isinstance(f, GF2Matrix):
+            raise ValidationError(f"factor {i} must be a GF2Matrix, got {type(f).__name__}")
     rows = prod(f.rows for f in factors)
     cols = prod(f.cols for f in factors)
     if rows * cols > TENSOR_BUDGET:
         dims = " x ".join(f"{f.rows}x{f.cols}" for f in factors) or "(empty)"
-        raise SizeError(
-            f"assembled size {rows}x{cols} exceeds the budget {TENSOR_BUDGET}: {dims}"
-        )
-    coords = [(0, 0)]
+        raise SizeError(f"assembled size {rows}x{cols} exceeds the budget {TENSOR_BUDGET}: {dims}")
+    _check_bytes(rows, cols)
+    ints = [1]
     for f in factors:
-        support = [(i, j) for i, row in enumerate(f.to_rows()) for j, bit in enumerate(row) if bit]
-        coords = [
-            (r * f.rows + i, c * f.cols + j) for r, c in coords for i, j in support
-        ]
-    return GF2Matrix.from_triplets(rows, cols, coords)
+        spread = [sum(1 << c * f.cols for c in range(x.bit_length()) if x >> c & 1) for x in ints]
+        ints = [s * y for s in spread for y in f.ints]
+    return _matrix(rows, cols, ints)

@@ -45,6 +45,7 @@ from .errors import (
     ValidationError,
     read_json,
     strict_int,
+    strict_items,
 )
 from .gf2 import GF2Matrix, QuotientSpace, reduce_columns
 from .linkdiag import LinkDiagram
@@ -75,7 +76,7 @@ class ZndiagMorphism:
                 "source and target color vectors must have the same length"
             )
         n = len(src)
-        arcs = tuple(sorted(_arc(a) for a in self.arcs))
+        arcs = tuple(sorted(_arc(a) for a in strict_items(self.arcs, "arcs", "position pairs")))
         seen_src: set[int] = set()
         seen_tgt: set[int] = set()
         for i, j in arcs:
@@ -93,7 +94,7 @@ class ZndiagMorphism:
                 raise ValidationError(f"arc ({i},{j}) reuses a matched endpoint")
             seen_src.add(i)
             seen_tgt.add(j)
-        dots = tuple(sorted(strict_int(c, "dot color") for c in self.dots))
+        dots = tuple(sorted(strict_int(c, "dot color") for c in strict_items(self.dots, "dots", "colors")))
         if any(c < 1 for c in dots):
             raise ValidationError("dot colors must be positive integers")
         object.__setattr__(self, "source", src)

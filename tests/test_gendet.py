@@ -20,7 +20,7 @@ from vandercomplex import (
     vandermonde_matrix,
     verify_euler,
 )
-from vandercomplex.gendet import random_matrix
+from vandercomplex.gendet import _grid_dims, random_matrix
 
 
 def cofactor_det(rows):
@@ -174,3 +174,34 @@ def test_parse_matrix():
         parse_matrix(json.dumps({"rows": [[1]]}))
     with pytest.raises(ValidationError):
         parse_matrix(json.dumps({"matrix": [[1, 2], [3, 0]]}))
+
+
+def mask_dp_dims(rows):
+    """The counting formula as a DP over used-column masks, graded by
+    inversions: rows are placed in order, and row i taking column j over
+    the columns used in `mask` adds one inversion per used column above j.
+    Each state holds the sums of products by inversion count, and the
+    n * 2^(n-1) steps replace the sum over all n! permutations."""
+    n = len(rows)
+    states = {0: [1]}
+    for i in range(n):
+        nxt = {}
+        for mask, poly in states.items():
+            for j in range(n):
+                if mask >> j & 1:
+                    continue
+                shift = (mask >> j).bit_count()
+                out = nxt.setdefault(mask | 1 << j, [])
+                out.extend([0] * (shift + len(poly) - len(out)))
+                for k, c in enumerate(poly):
+                    out[k + shift] += c * rows[i][j]
+        states = nxt
+    return states[(1 << n) - 1]
+
+
+def test_mask_dp_matches_grid_dims():
+    rng = random.Random(41)
+    for n in range(1, 7):
+        for _ in range(100):
+            rows = [[rng.choice((1, 2, 9, 1 << 40)) for _ in range(n)] for _ in range(n)]
+            assert mask_dp_dims(rows) == _grid_dims(rows), rows

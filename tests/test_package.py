@@ -68,6 +68,60 @@ def test_size_arguments_are_strict_ints(call, value, what):
         call(value)
 
 
+def _tqft(name, *args):
+    return lambda: getattr(vandercomplex.tqft, name)(*args)
+
+
+def _spec(dim):
+    return lambda: vandercomplex.AlgebraSpec(dim)
+
+
+def _random_matrix(n, max_entry):
+    return lambda: vandercomplex.gendet.random_matrix(n, max_entry, random.Random(0))
+
+
+TWO = vandercomplex.AlgebraSpec(2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(_tqft("swap_map", -1), "swap factor dimension d must be nonnegative, got -1", id="swap_map-negative"),
+        pytest.param(_tqft("swap_map", 2.0), "swap factor dimension d must be an integer, got 2.0", id="swap_map-float"),
+        pytest.param(_spec(2.5), "algebra dimension must be an integer, got 2.5", id="AlgebraSpec-fraction"),
+        pytest.param(_spec("2"), "algebra dimension must be an integer, got '2'", id="AlgebraSpec-str"),
+        pytest.param(_spec(True), "algebra dimension must be an integer, got True", id="AlgebraSpec-bool"),
+        pytest.param(_spec(-1), "algebra dimension must be nonnegative, got -1", id="AlgebraSpec-negative"),
+        pytest.param(_spec(0), "algebra dimension must be positive, got 0", id="AlgebraSpec-zero"),
+        pytest.param(_tqft("connected_map", TWO, True, 1), "input circle count r must be an integer, got True", id="connected_map-bool"),
+        pytest.param(_tqft("connected_map", TWO, 1.5, 1), "input circle count r must be an integer, got 1.5", id="connected_map-fraction"),
+        pytest.param(_tqft("connected_map", TWO, -1, 1), "input circle count r must be nonnegative, got -1", id="connected_map-negative-r"),
+        pytest.param(_tqft("connected_map", TWO, 1, -1), "output circle count l must be nonnegative, got -1", id="connected_map-negative-l"),
+        pytest.param(_tqft("connected_map", TWO, 1, 2.0), "output circle count l must be an integer, got 2.0", id="connected_map-float-l"),
+        pytest.param(_tqft("tensor_assemble", [vandercomplex.GF2Matrix.identity(2), [[1]]]), "factor 1 must be a GF2Matrix, got list", id="tensor_assemble-list"),
+        pytest.param(_random_matrix(2.5, 3), "matrix size n must be an integer, got 2.5", id="random_matrix-fraction"),
+        pytest.param(_random_matrix(0, 3), "matrix size n must be positive, got 0", id="random_matrix-zero"),
+        pytest.param(_random_matrix(-2, 3), "matrix size n must be nonnegative, got -2", id="random_matrix-negative"),
+        pytest.param(_random_matrix(2, 0), "max_entry must be at least 1, got 0", id="random_matrix-max-zero"),
+        pytest.param(_random_matrix(2, 2.5), "max_entry must be an integer, got 2.5", id="random_matrix-max-fraction"),
+        pytest.param(lambda: vandercomplex.vandermonde_matrix((2, 3), (1, -1)), "s entry must be nonnegative, got -1", id="vandermonde-negative-s"),
+        pytest.param(lambda: vandercomplex.vandermonde_matrix((1,), (-1,)), "s entry must be nonnegative, got -1", id="vandermonde-negative-s-at-1"),
+        pytest.param(lambda: vandercomplex.vandermonde_matrix(2, (1,)), "x must be an iterable of integers, got int", id="vandermonde-x-int"),
+        pytest.param(lambda: vandercomplex.PosIntMatrix(5), "matrix must be an iterable of rows, got int", id="PosIntMatrix-int"),
+        pytest.param(lambda: vandercomplex.PosIntMatrix((1, 2)), "matrix row 0 must be an iterable of entries, got int", id="PosIntMatrix-flat"),
+        pytest.param(lambda: vandercomplex.det_exact(None), "matrix must be an iterable of rows, got NoneType", id="det_exact-none"),
+        pytest.param(lambda: vandercomplex.identity_morphism(5), "color vector must be an iterable of colors, got int", id="identity_morphism-int"),
+        pytest.param(lambda: vandercomplex.ZndiagMorphism(5, (1,)), "color vector must be an iterable of colors, got int", id="ZndiagMorphism-source-int"),
+        pytest.param(lambda: vandercomplex.ZndiagMorphism((1,), (1,), 5), "arcs must be an iterable of position pairs, got int", id="ZndiagMorphism-arcs-int"),
+        pytest.param(lambda: vandercomplex.ZndiagMorphism((1,), (1,), (), 5), "dots must be an iterable of colors, got int", id="ZndiagMorphism-dots-int"),
+    ],
+)
+def test_malformed_arguments_get_one_line_refusals(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports this checkout's package."""
     src = str(Path(vandercomplex.__file__).resolve().parents[1])

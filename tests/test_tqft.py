@@ -158,3 +158,57 @@ def test_connected_map_over_the_byte_ceiling_is_refused_before_building():
     # 2^40 rows would be allocated before any coordinate is placed
     with pytest.raises(SizeError, match=r"^1099511627776x1099511627776 matrix needs .* byte ceiling$"):
         connected_map(AlgebraSpec(2), 40, 40)
+
+
+# A coordinate-list reference: each map as the set of its (row, col)
+# positions, built from the closed forms, and the Kronecker product as
+# every pair of positions, independent of the row-integer builders.
+
+
+def positions(m):
+    return m.rows, m.cols, {(i, j) for i, x in enumerate(m.ints) for j in range(m.cols) if x >> j & 1}
+
+
+def reference_connected(d, r, l):
+    return d**l, d**r, {(constant_tensor_index(a, l, d), constant_tensor_index(a, r, d)) for a in range(d)}
+
+
+def reference_kron(factors):
+    rows, cols, coords = 1, 1, {(0, 0)}
+    for f in factors:
+        fr, fc, support = positions(f)
+        coords = {(r * fr + i, c * fc + j) for r, c in coords for i, j in support}
+        rows, cols = rows * fr, cols * fc
+    return rows, cols, coords
+
+
+def test_builders_match_the_coordinate_list_reference():
+    for d in range(1, 6):
+        spec = AlgebraSpec(d)
+        for r in range(4):
+            for l in range(4):
+                if r or l:
+                    assert positions(connected_map(spec, r, l)) == reference_connected(d, r, l), (d, r, l)
+        expected = [reference_connected(d, r, l) for r, l in ((2, 1), (0, 1), (1, 2), (1, 0))]
+        assert [positions(m) for m in structure_maps(spec)] == expected, d
+        swap = {(b * d + a, a * d + b) for a in range(d) for b in range(d)}
+        assert positions(swap_map(d)) == (d * d, d * d, swap), d
+    assert positions(swap_map(0)) == (0, 0, set())
+
+
+def test_tensor_assemble_matches_the_coordinate_list_reference():
+    rng = random.Random(29)
+    for _ in range(200):
+        shapes = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(0, 4))]
+        factors = [random_matrix(rng, rows, cols) for rows, cols in shapes]
+        assert positions(tensor_assemble(factors)) == reference_kron(factors), shapes
+    for d in range(1, 6):
+        factors = [connected_map(AlgebraSpec(d), 2, 1), GF2Matrix.identity(d), connected_map(AlgebraSpec(d), 1, 0)]
+        assert positions(tensor_assemble(factors)) == reference_kron(factors), d
+
+
+def test_sizes_are_read_as_plain_ints():
+    np = pytest.importorskip("numpy")
+    assert type(AlgebraSpec(np.int64(3)).dim) is int
+    assert connected_map(AlgebraSpec(np.int64(2)), np.int64(2), np.uint8(1)) == connected_map(AlgebraSpec(2), 2, 1)
+    assert swap_map(np.int64(3)) == swap_map(3)
