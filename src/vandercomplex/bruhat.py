@@ -17,7 +17,7 @@ from functools import cache
 from itertools import combinations, permutations, starmap
 from operator import gt
 
-from .errors import PreconditionError, SizeError, ValidationError, strict_int
+from .errors import PreconditionError, SizeError, ValidationError, _decimal, strict_int
 
 Perm = tuple[int, ...]
 
@@ -82,9 +82,9 @@ def validate_n(n) -> int:
     callers who cannot raise it."""
     n = strict_int(n, "group size")
     if n < 1:
-        raise ValidationError(f"group size must be positive, got {n}")
+        raise ValidationError(f"group size must be positive, got {_decimal(n)}")
     if n > N_CAP:
-        raise SizeError(f"n={n} exceeds the poset cap {N_CAP}")
+        raise SizeError(f"n={_decimal(n)} exceeds the poset cap {N_CAP}")
     return n
 
 
@@ -138,7 +138,7 @@ def mahonian_distribution(n: int) -> list[int]:
     """
     n = strict_int(n, "group size")
     if n < 1:
-        raise ValidationError(f"group size must be positive, got {n}")
+        raise ValidationError(f"group size must be positive, got {_decimal(n)}")
     coeffs = [1]
     for k in range(2, n + 1):
         out = [0] * (len(coeffs) + k - 1)

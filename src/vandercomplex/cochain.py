@@ -47,7 +47,7 @@ from operator import itemgetter, lshift, mul, xor
 from time import perf_counter
 
 from .bruhat import Perm, build_bruhat, covers, inversions, validate_n, validate_perm
-from .errors import PreconditionError, SizeError, ValidationError, strict_int, strict_items
+from .errors import PreconditionError, SizeError, ValidationError, _FULL, _decimal, strict_int, strict_items
 from .gf2 import GF2Matrix, _check_bytes, _index, _matrix
 from .linkdiag import LinkDiagram, is_height_uniform, s_vector
 from .summands import _cohomology
@@ -60,7 +60,8 @@ DEFAULT_DIM_BUDGET = 10**7
 def validate_colors(x) -> ColorVector:
     xs = tuple(strict_int(v, "color") for v in strict_items(x, "color vector", "colors"))
     if not xs or any(v < 1 for v in xs):
-        raise ValidationError(f"color vector entries must be positive integers: {x!r}")
+        shown = repr(x) if all(-_FULL < v < _FULL for v in xs) else f"({', '.join(map(_decimal, xs))})"
+        raise ValidationError(f"color vector entries must be positive integers: {shown}")
     return xs
 
 
@@ -332,19 +333,6 @@ def _map_groups(src: BlockPlaces, tgt: BlockPlaces, blocks) -> list:
             group = groups[key] = (*zip(*factors), [])
         group[3].append((src.level[s], tgt.offset[t], src.offset[s]))
     return list(groups.values())
-
-
-def _decimal(value: int) -> str:
-    """value in decimal, or its digit count past 80 digits: str() of an int
-    past the interpreter's digit limit (4,300 digits by default) raises
-    ValueError."""
-    magnitude = abs(value)
-    if magnitude < 10**80:
-        return str(value)
-    digits = int(magnitude.bit_length() * 0.30103)  # at most the digit count
-    while 10**digits <= magnitude:
-        digits += 1
-    return f"{'below zero, ' if value < 0 else ''}of {digits:,} digits"
 
 
 def check_budget(dims, budget: int) -> None:

@@ -1,5 +1,5 @@
 """Exception types shared across the package, the strict integer and iterable
-checks and the JSON reader."""
+checks, the JSON reader and the decimal form refusals print integers in."""
 
 import json
 from collections.abc import Iterable
@@ -40,6 +40,23 @@ class MembershipError(VanderComplexError):
 
 class ConsistencyError(VanderComplexError):
     """An internal invariant failed; indicates a construction bug."""
+
+
+_FULL = 10**80  # integers below this in magnitude print in full
+
+
+def _decimal(value: int) -> str:
+    """value in decimal, or its digit count past 80 digits, so a refusal
+    that names an integer stays one line at any size: str() of an int past
+    the interpreter's digit limit (4,300 digits by default) raises
+    ValueError."""
+    magnitude = abs(value)
+    if magnitude < _FULL:
+        return str(value)
+    digits = int(magnitude.bit_length() * 0.30103)  # at most the digit count
+    while 10**digits <= magnitude:
+        digits += 1
+    return f"{'below zero, ' if value < 0 else ''}of {digits:,} digits"
 
 
 def strict_int(value, what: str) -> int:

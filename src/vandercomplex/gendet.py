@@ -36,7 +36,7 @@ from .cochain import (
     check_budget,
     euler_characteristic,
 )
-from .errors import FormatError, PreconditionError, SizeError, ValidationError, read_json, strict_int, strict_items
+from .errors import FormatError, PreconditionError, SizeError, ValidationError, _decimal, read_json, strict_int, strict_items
 from .gf2 import _size
 from .summands import homology_dims
 
@@ -121,11 +121,14 @@ def det_permutation_expansion(m) -> int:
 
 
 def vandermonde_matrix(x, s) -> PosIntMatrix:
-    """The matrix with entry (i, j) equal to x_i to the power s_j."""
+    """The matrix with entry (i, j) equal to x_i to the power s_j; every x
+    entry is a color (at least 1) and every s entry nonnegative."""
     xs = tuple(strict_int(v, "x entry") for v in strict_items(x, "x", "integers"))
     ss = tuple(strict_int(v, "s entry") for v in strict_items(s, "s", "integers"))
+    if any(v < 1 for v in xs):
+        raise ValidationError(f"x entry must be positive, got {_decimal(min(xs))}")
     if any(v < 0 for v in ss):
-        raise ValidationError(f"s entry must be nonnegative, got {min(ss)}")
+        raise ValidationError(f"s entry must be nonnegative, got {_decimal(min(ss))}")
     if len(xs) != len(ss):
         raise PreconditionError("x and s must have the same length")
     return PosIntMatrix(tuple(tuple(xi**sj for sj in ss) for xi in xs))
@@ -226,9 +229,9 @@ def random_matrix(n: int, max_entry: int, rng) -> PosIntMatrix:
     max_entry at least 1."""
     n, max_entry = _size(n, "matrix size n"), strict_int(max_entry, "max_entry")
     if n < 1:
-        raise ValidationError(f"matrix size n must be positive, got {n}")
+        raise ValidationError(f"matrix size n must be positive, got {_decimal(n)}")
     if max_entry < 1:
-        raise ValidationError(f"max_entry must be at least 1, got {max_entry}")
+        raise ValidationError(f"max_entry must be at least 1, got {_decimal(max_entry)}")
     return PosIntMatrix(
         tuple(tuple(rng.randint(1, max_entry) for _ in range(n)) for _ in range(n))
     )

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .errors import MembershipError, SizeError, ValidationError, strict_int
+from .errors import MembershipError, SizeError, ValidationError, _decimal, strict_int
 
 # Hard ceiling on a matrix built dense (zeros, the identity, a product, a
 # level of an assembled complex), in the bytes its row ints take when
@@ -57,9 +57,27 @@ def _check_bytes(rows: int, cols: int) -> None:
     size = rows * ((cols + 63) >> 6) * 8
     if size > MAX_MATRIX_BYTES:
         raise SizeError(
-            f"{rows}x{cols} matrix needs {size} packed bytes, "
+            f"{_decimal(rows)}x{_decimal(cols)} matrix needs {_decimal(size)} packed bytes, "
             f"over the {MAX_MATRIX_BYTES} byte ceiling"
         )
+
+
+def _power_shape(base: int, row_exp: int, col_exp: int) -> tuple[int, int]:
+    """The shape base**row_exp x base**col_exp once `_check_bytes` admits it.
+
+    A power of more than 512 bits is past any ceiling below 2**510 bytes, so
+    an exponent times base.bit_length() - 1 (a floor on the power's bits)
+    over 512 is refused before the power is built; every power built here
+    has at most 1,024 bits."""
+    if max(row_exp, col_exp) * (base.bit_length() - 1) > 512:
+        b = _decimal(base)
+        raise SizeError(
+            f"{b}^{_decimal(row_exp)}x{b}^{_decimal(col_exp)} matrix is "
+            f"over the {MAX_MATRIX_BYTES} byte ceiling"
+        )
+    rows, cols = base**row_exp, base**col_exp
+    _check_bytes(rows, cols)
+    return rows, cols
 
 
 def _integer(value, what: str) -> int:
@@ -74,14 +92,15 @@ def _size(value, what: str) -> int:
     """A shape: an `_integer` that is not negative."""
     value = _integer(value, what)
     if value < 0:
-        raise ValidationError(f"{what} must be nonnegative, got {value}")
+        raise ValidationError(f"{what} must be nonnegative, got {_decimal(value)}")
     return value
 
 
 def _index(i, size: int, what: str, of: str) -> int:
     """i as an int below size, or a ValidationError naming it and `of`."""
     if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < size:
-        raise ValidationError(f"{what} {i!r} is out of range for {of}")
+        shown = _decimal(i) if isinstance(i, int) else repr(i)
+        raise ValidationError(f"{what} {shown} is out of range for {of}")
     return i
 
 
@@ -109,7 +128,7 @@ class GF2Matrix:
             _check_bytes(rows, cols)
             ints = [0] * rows
         elif len(ints) != rows:
-            raise ValidationError(f"{rows} rows but {len(ints)} row ints")
+            raise ValidationError(f"{_decimal(rows)} rows but {len(ints)} row ints")
         else:
             _check_vectors(ints, cols, "row")
         self.rows = rows
@@ -172,7 +191,7 @@ class GF2Matrix:
         return np.frombuffer(blob, dtype="<u8").reshape(self.rows, nwords)
 
     def get(self, i: int, j: int) -> int:
-        of = f"a {self.rows}x{self.cols} matrix"
+        of = f"a {self.rows}x{_decimal(self.cols)} matrix"
         i = _index(i, self.rows, "row", of)
         return (self.ints[i] >> _index(j, self.cols, "column", of)) & 1
 

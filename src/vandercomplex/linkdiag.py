@@ -14,6 +14,10 @@ crossing's two smoothings as pairs of those numbers in two flat lists.
 Every circle count is a union-find over a flat parent list joining a
 flat list of such pairs.  Only the public entry points that take a
 caller's smoothing validate it.
+
+The s-vector belongs to the diagram, since only the colors change between
+reports on it: `s_vector` resolves it on its first call and keeps it on
+the diagram, so later reports read the kept tuple.
 """
 
 import json
@@ -81,6 +85,7 @@ class LinkDiagram:
 
     _ids holds the arc ids by first use; _zeros and _ones hold, two pairs
     per crossing, its 0- and 1-smoothing as pairs of positions in _ids.
+    _s is the s-vector once `s_vector` has resolved it, None before.
     """
 
     crossings: tuple[Crossing, ...]
@@ -88,6 +93,7 @@ class LinkDiagram:
     _ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _zeros: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _ones: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _s: tuple[int, ...] | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "crossings", strict_items(self.crossings, "crossings", "crossings"))
@@ -263,11 +269,15 @@ def circles(d: LinkDiagram, smoothing) -> list[tuple[int, ...]]:
 
 
 def s_vector(d: LinkDiagram) -> tuple[int, ...]:
-    """Circle counts s_1..s_n where s_k 1-smooths the first k crossings."""
-    if d.n < 1:
-        raise PreconditionError("s_vector needs at least one crossing")
-    zeros, ones, m = d._zeros, d._ones, len(d._ids)
-    return tuple(_resolve(m, ones[: 2 * k] + zeros[2 * k :], d.free_loops)[0] for k in range(1, d.n + 1))
+    """Circle counts s_1..s_n where s_k 1-smooths the first k crossings,
+    resolved on the first call and kept on the diagram for the next."""
+    if d._s is None:
+        if d.n < 1:
+            raise PreconditionError("s_vector needs at least one crossing")
+        zeros, ones, m = d._zeros, d._ones, len(d._ids)
+        s = tuple(_resolve(m, ones[: 2 * k] + zeros[2 * k :], d.free_loops)[0] for k in range(1, d.n + 1))
+        object.__setattr__(d, "_s", s)
+    return d._s
 
 
 def is_height_uniform(d: LinkDiagram) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:

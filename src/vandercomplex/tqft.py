@@ -12,14 +12,16 @@ from this rule, never by composing individual merge/split matrices.
 Genus is therefore not represented anywhere in this package.
 
 Sizes are read by `gf2`'s shape rule (`_size`), and every matrix is built
-as row integers once the `gf2` byte ceiling admits its shape.
+as row integers once the `gf2` byte ceiling admits its shape; a connected
+map's shape dim^l x dim^r is checked before either power is built
+(`_power_shape`).
 """
 
 from dataclasses import dataclass
 from math import prod
 
 from .errors import SizeError, ValidationError
-from .gf2 import GF2Matrix, _check_bytes, _matrix, _size
+from .gf2 import GF2Matrix, _check_bytes, _matrix, _power_shape, _size
 
 FROBENIUS_CAP = 8  # the largest algebra dimension frobenius_check takes
 TENSOR_BUDGET = 1 << 28  # entries of an assembled Kronecker product
@@ -39,11 +41,12 @@ class AlgebraSpec:
 
 
 def constant_tensor_index(value: int, count: int, radix: int) -> int:
-    """Flat index of the basis tensor repeating `value` `count` times."""
-    idx = 0
-    for _ in range(count):
-        idx = idx * radix + value
-    return idx
+    """Flat index of the basis tensor repeating `value` (below radix)
+    `count` times: value times the repunit of count digits in base radix,
+    0 at radix 1, where value can only be 0."""
+    if radix == 1:
+        return 0
+    return value * (radix**count - 1) // (radix - 1)
 
 
 def connected_map(spec: AlgebraSpec, r: int, l: int) -> GF2Matrix:
@@ -52,17 +55,18 @@ def connected_map(spec: AlgebraSpec, r: int, l: int) -> GF2Matrix:
     Shape dim^l x dim^r.  For r = 0 this is the unit followed by splits
     (the column summing all constant outputs); for l = 0 it is merges
     followed by the counit (the row hitting all constant inputs).  A shape
-    over the `gf2` byte ceiling is refused before anything is built.
+    over the `gf2` byte ceiling is refused before anything is built, and
+    one whose dim^l or dim^r would pass it before that power is built.
     """
     r, l = _size(r, "input circle count r"), _size(l, "output circle count l")
     if r == 0 and l == 0:
         raise ValidationError("a closed component has no boundary; use sphere_scalar instead")
     d = spec.dim
-    _check_bytes(d**l, d**r)
-    ints = [0] * d**l
+    rows, cols = _power_shape(d, l, r)
+    ints = [0] * rows
     for a in range(d):  # with l = 0 every input lands on the one row
         ints[constant_tensor_index(a, l, d)] |= 1 << constant_tensor_index(a, r, d)
-    return _matrix(d**l, d**r, ints)
+    return _matrix(rows, cols, ints)
 
 
 def sphere_scalar(spec: AlgebraSpec) -> int:

@@ -107,6 +107,20 @@ def test_vandermonde_product_formula():
         assert det_exact(m) == product_formula(x)
 
 
+@pytest.mark.parametrize(
+    "x, s, message",
+    [
+        pytest.param((-2, 3), (2, 4), "x entry must be positive, got -2", id="negative-x-under-even-powers"),
+        pytest.param((0,), (0,), "x entry must be positive, got 0", id="zero-x-to-the-zero"),
+        pytest.param((3, 0, -1), (1, 2, 3), "x entry must be positive, got -1", id="smallest-named"),
+    ],
+)
+def test_vandermonde_matrix_refuses_x_below_1(x, s, message):
+    with pytest.raises(ValidationError) as info:
+        vandermonde_matrix(x, s)
+    assert str(info.value) == message
+
+
 def test_matrix_complex_all_ones():
     rep = matrix_report(PosIntMatrix(((1, 1), (1, 1))))
     assert rep.cochain_dims == [1, 1]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import defaultdict
@@ -373,3 +374,70 @@ def test_indexed_form_leaves_identity_alone():
     assert repr(d) == f"LinkDiagram(crossings={d.crossings!r}, free_loops=0)"
     assert parse_diagram(format_diagram(d)) == d
     assert d.arc_ids() == [1, 2, 3, 4]
+
+
+# The kept s-vector: s_vector resolves a diagram once and keeps the tuple
+# on that diagram; the independent route is one circle_count per k.
+
+
+def counted_s_vector(d):
+    return tuple(circle_count(d, (1,) * k + (0,) * (d.n - k)) for k in range(1, d.n + 1))
+
+
+def kept_corpus():
+    rng = random.Random(30)
+    randoms = [random_diagram(rng.randint(1, 6), rng, rng.randint(0, 2)) for _ in range(50)]
+    assert {d.free_loops for d in randoms} == {0, 1, 2}
+    return [torus_two_n(n) for n in range(1, 9)] + randoms
+
+
+def test_kept_s_vector_matches_one_circle_count_per_k():
+    for d in kept_corpus():
+        first = s_vector(d)
+        assert first == counted_s_vector(d), d
+        assert s_vector(d) is first, d
+
+
+def test_reports_resolve_a_diagram_once(monkeypatch):
+    from vandercomplex import build_complex, cochain_dims, linkdiag, verify_euler
+
+    calls = []
+    resolve = linkdiag._resolve
+    monkeypatch.setattr(linkdiag, "_resolve", lambda *args: calls.append(1) or resolve(*args))
+    d, x = torus_two_n(3), (1, 2, 2)
+    for _ in range(3):
+        cochain_dims(d, x)
+        verify_euler(d, x)
+        build_complex(d, x)
+    assert len(calls) == d.n
+    assert s_vector(torus_two_n(3)) == s_vector(d) and len(calls) == 2 * d.n
+
+
+def test_replaced_and_reordered_diagrams_get_fresh_s_vectors():
+    rng = random.Random(31)
+    for d in kept_corpus():
+        kept = s_vector(d)
+        more = dataclasses.replace(d, free_loops=d.free_loops + 2)
+        assert s_vector(more) == tuple(s + 2 for s in kept) == counted_s_vector(more), d
+        rho = tuple(rng.sample(range(1, d.n + 1), d.n))
+        moved = d.reordered(rho)
+        assert s_vector(moved) == counted_s_vector(moved), (d, rho)
+        assert s_vector(d) is kept
+
+
+def test_s_vector_of_no_crossings_is_refused_on_every_call():
+    d = LinkDiagram((), 2)
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="^s_vector needs at least one crossing$"):
+            s_vector(d)
+
+
+def test_identity_does_not_depend_on_a_read_s_vector():
+    for n, loops in ((1, 0), (3, 1), (5, 2)):
+        read, unread = LinkDiagram(torus_two_n(n).crossings, loops), LinkDiagram(torus_two_n(n).crossings, loops)
+        before = repr(read), hash(read)
+        s_vector(read)
+        assert read == unread and unread == read
+        assert (repr(read), hash(read)) == before == (repr(unread), hash(unread))
+        assert len({read, unread}) == 1
+        assert repr(read) == f"LinkDiagram(crossings={read.crossings!r}, free_loops={loops})"

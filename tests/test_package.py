@@ -122,6 +122,61 @@ def test_malformed_arguments_get_one_line_refusals(call, message):
     assert str(info.value) == message
 
 
+HUGE = 10**5000  # past the interpreter's 4,300-digit limit on str()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: vandercomplex.build_bruhat(HUGE), "n=of 5,001 digits exceeds the poset cap 6", id="build_bruhat"),
+        pytest.param(lambda: vandercomplex.build_bruhat(-HUGE), "group size must be positive, got below zero, of 5,001 digits", id="build_bruhat-negative"),
+        pytest.param(
+            lambda: vandercomplex.GF2Matrix(HUGE, 1),
+            "of 5,001 digitsx1 matrix needs of 5,001 digits packed bytes, over the 2147483648 byte ceiling",
+            id="GF2Matrix",
+        ),
+        pytest.param(
+            lambda: vandercomplex.GF2Matrix.identity(HUGE),
+            "of 5,001 digitsxof 5,001 digits matrix needs of 10,000 digits packed bytes, over the 2147483648 byte ceiling",
+            id="identity",
+        ),
+        pytest.param(lambda: vandercomplex.GF2Matrix(-HUGE, 1), "row count must be nonnegative, got below zero, of 5,001 digits", id="GF2Matrix-negative"),
+        pytest.param(lambda: vandercomplex.GF2Matrix(2, 2).get(HUGE, 0), "row of 5,001 digits is out of range for a 2x2 matrix", id="get"),
+        pytest.param(
+            lambda: vandercomplex.tqft.swap_map(10**3000),
+            "of 6,001 digitsxof 6,001 digits matrix needs of 12,000 digits packed bytes, over the 2147483648 byte ceiling",
+            id="swap_map",
+        ),
+        pytest.param(
+            lambda: vandercomplex.verify_euler(vandercomplex.torus_two_n(2), (-HUGE, 1)),
+            "color vector entries must be positive integers: (below zero, of 5,001 digits, 1)",
+            id="verify_euler",
+        ),
+        pytest.param(_random_matrix(-HUGE, 3), "matrix size n must be nonnegative, got below zero, of 5,001 digits", id="random_matrix"),
+        pytest.param(_random_matrix(2, -HUGE), "max_entry must be at least 1, got below zero, of 5,001 digits", id="random_matrix-max"),
+        pytest.param(lambda: vandercomplex.vandermonde_matrix((-HUGE,), (1,)), "x entry must be positive, got below zero, of 5,001 digits", id="vandermonde-x"),
+        pytest.param(lambda: vandercomplex.vandermonde_matrix((2,), (-HUGE,)), "s entry must be nonnegative, got below zero, of 5,001 digits", id="vandermonde-s"),
+    ],
+)
+def test_refusals_naming_a_huge_integer_raise_the_package_error(call, message):
+    with pytest.raises(vandercomplex.VanderComplexError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_refusals_print_ordinary_values_in_full():
+    for call, message in (
+        (lambda: vandercomplex.build_bruhat(7), "n=7 exceeds the poset cap 6"),
+        (lambda: vandercomplex.GF2Matrix(1 << 40, 1 << 40), "1099511627776x1099511627776 matrix needs 151115727451828646838272 packed bytes, over the 2147483648 byte ceiling"),
+        (lambda: vandercomplex.GF2Matrix(2, 2).get(10**79, 0), f"row {10**79} is out of range for a 2x2 matrix"),
+        (lambda: vandercomplex.GF2Matrix(2, 2).get(2.0, 0), "row 2.0 is out of range for a 2x2 matrix"),
+        (lambda: vandercomplex.verify_euler(vandercomplex.torus_two_n(2), [-(10**79), 1]), f"color vector entries must be positive integers: {[-(10**79), 1]!r}"),
+    ):
+        with pytest.raises(vandercomplex.VanderComplexError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports this checkout's package."""
     src = str(Path(vandercomplex.__file__).resolve().parents[1])

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from vandercomplex import (
     sphere_scalar,
     tensor_assemble,
 )
+from vandercomplex import gf2
 from vandercomplex.gf2 import GF2Matrix
 from vandercomplex.tqft import constant_tensor_index, structure_maps, swap_map
 
@@ -212,3 +214,69 @@ def test_sizes_are_read_as_plain_ints():
     assert type(AlgebraSpec(np.int64(3)).dim) is int
     assert connected_map(AlgebraSpec(np.int64(2)), np.int64(2), np.uint8(1)) == connected_map(AlgebraSpec(2), 2, 1)
     assert swap_map(np.int64(3)) == swap_map(3)
+
+
+# Shapes are sized before any power is built: connected_map refuses exactly
+# the shapes the byte check refuses, and a count of 10**7 costs no loop.
+
+
+def loop_index(value, count, radix):
+    """constant_tensor_index by its definition, one digit at a time."""
+    idx = 0
+    for _ in range(count):
+        idx = idx * radix + value
+    return idx
+
+
+def test_constant_tensor_index_matches_its_digit_loop():
+    for radix in range(1, 7):
+        for count in range(8):
+            for value in range(radix):
+                assert constant_tensor_index(value, count, radix) == loop_index(value, count, radix)
+    assert constant_tensor_index(0, 10**7, 1) == 0
+    assert constant_tensor_index(2, 300, 3) == loop_index(2, 300, 3)
+
+
+def byte_check_fits(d, r, l):
+    try:
+        gf2._check_bytes(d**l, d**r)
+    except SizeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("ceiling", [64, 4096])
+def test_connected_map_refuses_exactly_the_shapes_the_byte_check_refuses(monkeypatch, ceiling):
+    monkeypatch.setattr(gf2, "MAX_MATRIX_BYTES", ceiling)
+    counts = (0, 1, 2, 3, 5, 9, 40, 600)
+    for d in (1, 2, 3, 5, 2**64 + 1):
+        spec = AlgebraSpec(d)
+        for r, l in product(counts, repeat=2):
+            if not (r or l):
+                continue
+            if byte_check_fits(d, r, l):
+                assert positions(connected_map(spec, r, l)) == reference_connected(d, r, l), (d, r, l)
+            else:
+                with pytest.raises(SizeError, match="byte ceiling$"):
+                    connected_map(spec, r, l)
+
+
+@pytest.mark.parametrize(
+    "dim, r, l, message",
+    [
+        pytest.param(2, 10**6, 1, "2^1x2^1000000 matrix is over the 2147483648 byte ceiling", id="2-million-inputs"),
+        pytest.param(2, 1, 10**7, "2^10000000x2^1 matrix is over the 2147483648 byte ceiling", id="2-ten-million-outputs"),
+        pytest.param(3, 10**7, 10**7, "3^10000000x3^10000000 matrix is over the 2147483648 byte ceiling", id="3-both"),
+        pytest.param(2**600, 1, 0, "of 181 digits^0xof 181 digits^1 matrix is over the 2147483648 byte ceiling", id="wide-dim"),
+    ],
+)
+def test_connected_map_over_the_ceiling_is_refused_before_its_power(dim, r, l, message):
+    with pytest.raises(SizeError) as info:
+        connected_map(AlgebraSpec(dim), r, l)
+    assert str(info.value) == message
+
+
+def test_connected_map_at_dimension_1_takes_any_count():
+    for r, l in ((10**7, 10**7), (10**7, 0), (0, 10**7), (1, 10**6)):
+        m = connected_map(AlgebraSpec(1), r, l)
+        assert (m.rows, m.cols, m.ints) == (1, 1, [1])
