@@ -17,7 +17,7 @@ from functools import cache
 from itertools import combinations, permutations, starmap
 from operator import gt
 
-from .errors import PreconditionError, SizeError, ValidationError, _decimal, strict_int
+from .errors import PreconditionError, SizeError, ValidationError, _decimal, _shown, strict_int, strict_items
 
 Perm = tuple[int, ...]
 
@@ -26,10 +26,10 @@ N_CAP = 6
 
 def validate_perm(p) -> Perm:
     """Check one-line notation: the entries must be a bijection of 1..n."""
-    q = tuple(p)
+    q = strict_items(p, "permutation", "integers")
     n = len(q)
     if sorted(q) != list(range(1, n + 1)):
-        raise ValidationError(f"not a permutation of 1..{n}: {q!r}")
+        raise ValidationError(f"not a permutation of 1..{n}: {_shown(q)}")
     return q
 
 

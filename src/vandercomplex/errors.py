@@ -1,5 +1,5 @@
 """Exception types shared across the package, the strict integer and iterable
-checks, the JSON reader and the decimal form refusals print integers in."""
+checks, the JSON reader and the one form refusals print a caller's value in."""
 
 import json
 from collections.abc import Iterable
@@ -59,6 +59,26 @@ def _decimal(value: int) -> str:
     return f"{'below zero, ' if value < 0 else ''}of {digits:,} digits"
 
 
+_REPR_CAP = 120  # the most characters a refusal prints of a value's repr
+
+
+def _shown(value) -> str:
+    """value as a refusal prints it, on one line at any size: an int through
+    `_decimal`, a tuple entry by entry, and anything else by its repr cut
+    to _REPR_CAP characters.  A repr that hits the digit limit (a list
+    holding a huge int, say) prints as the type's name."""
+    if isinstance(value, int):
+        return _decimal(value)
+    if type(value) is tuple:
+        entries = ", ".join(map(_shown, value))
+        return f"({entries},)" if len(value) == 1 else f"({entries})"
+    try:
+        text = repr(value)
+    except ValueError:
+        text = f"<{type(value).__name__}>"
+    return text if len(text) <= _REPR_CAP else f"{text[: _REPR_CAP - 3]}..."
+
+
 def strict_int(value, what: str) -> int:
     """value as an int: bools, non-integral floats and non-numbers are refused.
 
@@ -70,7 +90,7 @@ def strict_int(value, what: str) -> int:
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+    raise ValidationError(f"{what} must be an integer, got {_shown(value)}")
 
 
 def strict_items(value, what: str, of: str) -> tuple:
@@ -87,9 +107,12 @@ def strict_items(value, what: str, of: str) -> tuple:
 
 
 def read_json(text: str, what: str):
-    """The JSON value of an input file's text.  Bad syntax, nesting too deep
-    for the decoder and integers past the interpreter's digit limit all
-    raise a FormatError naming `what`."""
+    """The JSON value of an input file's text.  Text that is not str, bytes
+    or bytearray, bad syntax, nesting too deep for the decoder and integers
+    past the interpreter's digit limit all raise a FormatError naming
+    `what`."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise FormatError(f"{what} file text must be str, bytes or bytearray, got {type(text).__name__}")
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -2,7 +2,9 @@
 
 det_exact runs fraction-free elimination in arbitrary precision, so the
 result is the exact signed determinant for any size; the permutation
-expansion is kept as an independent slow route for cross-checking.
+expansion is kept as an independent slow route for cross-checking.  The
+elimination itself is `_bareiss`, which checks nothing: det_exact calls it
+on the rows it has read, and a report on a copy of the grid it built.
 
 build_matrix_complex replaces each permutation by a tensor product of one
 algebra factor per row, the factor for row i having dimension m[i][pi(i)].
@@ -87,7 +89,14 @@ def det_exact(m) -> int:
     Accepts a PosIntMatrix or raw integer rows; the positivity constraint
     only matters for complex building, not for the determinant itself.
     """
-    a = _int_rows(m)
+    return _bareiss(_int_rows(m))
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """The signed determinant of a nonempty square grid of ints, given as
+    a list of row lists that the elimination overwrites; nothing is
+    checked, so callers pass a grid already read by `_int_rows` or built
+    by the package."""
     n = len(a)
     sign = 1
     prev = 1
@@ -172,7 +181,7 @@ def _grid_report(grid, base, skip_homology: bool, budget: int, x=None, s=None) -
         check_budget(dims, budget)
         hom = homology_dims([[b] + [v - b for v in row] for b, row in zip(base, grid)], dims)
     euler = euler_characteristic(dims)
-    det = det_exact(grid)
+    det = _bareiss(list(map(list, grid)))
     return HomologyReport(
         n=len(grid),
         cochain_dims=dims,

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from .errors import MembershipError, SizeError, ValidationError, _decimal, strict_int
+from .errors import MembershipError, SizeError, ValidationError, _decimal, _shown, strict_int
 
 # Hard ceiling on a matrix built dense (zeros, the identity, a product, a
 # level of an assembled complex), in the bytes its row ints take when
@@ -99,8 +99,7 @@ def _size(value, what: str) -> int:
 def _index(i, size: int, what: str, of: str) -> int:
     """i as an int below size, or a ValidationError naming it and `of`."""
     if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < size:
-        shown = _decimal(i) if isinstance(i, int) else repr(i)
-        raise ValidationError(f"{what} {shown} is out of range for {of}")
+        raise ValidationError(f"{what} {_shown(i)} is out of range for {of}")
     return i
 
 
@@ -191,7 +190,7 @@ class GF2Matrix:
         return np.frombuffer(blob, dtype="<u8").reshape(self.rows, nwords)
 
     def get(self, i: int, j: int) -> int:
-        of = f"a {self.rows}x{_decimal(self.cols)} matrix"
+        of = f"a {self._shape()} matrix"
         i = _index(i, self.rows, "row", of)
         return (self.ints[i] >> _index(j, self.cols, "column", of)) & 1
 
@@ -203,7 +202,7 @@ class GF2Matrix:
         import numpy as np
 
         if self.rows * self.cols > (1 << 28):
-            raise SizeError(f"refusing to unpack a {self.rows}x{self.cols} matrix")
+            raise SizeError(f"refusing to unpack a {self._shape()} matrix")
         bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
         return bits[:, : self.cols].astype(bool)
 
@@ -224,7 +223,11 @@ class GF2Matrix:
         return self.rows == other.rows and self.cols == other.cols and self.ints == other.ints
 
     def __repr__(self) -> str:
-        return f"GF2Matrix({self.rows}x{self.cols})"
+        return f"GF2Matrix({self._shape()})"
+
+    def _shape(self) -> str:
+        """rows x cols as messages print them, one line at any size."""
+        return f"{_shown(self.rows)}x{_shown(self.cols)}"
 
     # -- arithmetic ----------------------------------------------------
 
@@ -236,9 +239,7 @@ class GF2Matrix:
         if not isinstance(other, GF2Matrix):
             return NotImplemented
         if self.cols != other.rows:
-            raise ValidationError(
-                f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
+            raise ValidationError(f"shape mismatch: {self._shape()} @ {other._shape()}")
         _check_bytes(self.rows, other.cols)
         if not any(self.ints) or not any(other.ints):
             return _matrix(self.rows, other.cols, [0] * self.rows)
@@ -252,9 +253,7 @@ class GF2Matrix:
         if not isinstance(other, GF2Matrix):
             raise TypeError(f"compose_is_zero needs a GF2Matrix, got {type(other).__name__}")
         if self.cols != other.rows:
-            raise ValidationError(
-                f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
+            raise ValidationError(f"shape mismatch: {self._shape()} @ {other._shape()}")
         b = other.ints
         for x in self.ints:
             acc = 0

@@ -209,7 +209,7 @@ def format_diagram(d: LinkDiagram) -> str:
 
 
 def _validate_smoothing(d: LinkDiagram, smoothing) -> tuple[int, ...]:
-    bits = tuple(strict_int(b, "smoothing entry") for b in smoothing)
+    bits = tuple(strict_int(b, "smoothing entry") for b in strict_items(smoothing, "smoothing", "bits"))
     if len(bits) != d.n:
         raise PreconditionError(
             f"smoothing length {len(bits)} does not match crossing count {d.n}"

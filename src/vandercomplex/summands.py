@@ -28,13 +28,14 @@ sets of S_n.  A set is looked up by an integer key, its code's digits in
 base n + 1, and the key leads to a row id; equal rows are stored once, so
 the 13,327 sets of S_6 share 234 distinct rows.  A row is filled the first
 time a complex needs its set.  `homology_dims` walks the constraint sets
-whose multiplicity is nonzero, adds each one's multiplicity to its row id,
-and sums only the distinct rows it reached, with those weights, so its
-cost follows the sets a complex reaches and not the size of the table.
-The sum packs each row into one integer, a field per level (Kronecker
-substitution), so it is one multiply-add per row, not one per row and
-level.  Rows and sums are Python integers, so the sums are exact at any
-size.
+whose multiplicity is nonzero and adds each one's multiplicity into a list
+indexed by row id, and only the distinct rows it reached are summed, with
+those weights, so its cost follows the sets a complex reaches and not the
+size of the table.  The sum packs each row into one integer, a field per
+level (Kronecker substitution), so it is one multiply-add per row, not one
+per row and level.  Packed rows are kept per row id, with the row they
+were packed from, and a row is packed again when it changes.  Rows and
+sums are Python integers, so the sums are exact at any size.
 """
 
 from itertools import combinations, permutations
@@ -71,7 +72,8 @@ class SummandTable:
         self.rows: dict[int, Row] = {}
         self._interned: dict[Row, int] = {}  # row -> its id
         self._width = 0  # the field width of the packed rows kept
-        self._packed: dict[Row, int] = {}  # row -> row packed at _width
+        # per row id: (the row object packed last, that row packed at _width)
+        self._packed: list[tuple[Row | None, int]] = []
 
     def key(self, code: Code) -> int:
         """The integer key of a code."""
@@ -134,9 +136,10 @@ class SummandTable:
         hom = _cohomology(dims[lo:hi], differentials, f"summand {list(code)}")
         return tuple(dims), (0,) * lo + tuple(hom) + (0,) * (len(dims) - hi)
 
-    def level_sums(self, weights: dict[int, int]) -> tuple[list[int], list[int]]:
-        """dim C^k and dim H^k summed over the rows with the given ids, each
-        row weighted by its multiplicity weights[id], for every level k.
+    def level_sums(self, weights: list[int]) -> tuple[list[int], list[int]]:
+        """dim C^k and dim H^k summed over the rows, row id i weighted by
+        its multiplicity weights[i], for every level k; rows of weight 0
+        are skipped.
 
         Kronecker substitution: a row is packed into one integer, dim C^k in
         field k and dim H^k in field max_rank + 1 + k, each field width bits
@@ -144,25 +147,29 @@ class SummandTable:
         entry exceeds top (`_pack` checks it), so no field of the sum
         exceeds sum(weights) * top, and width is the multiple of 64 that
         holds that bound: no field carries into the next.  Packed rows are
-        kept for the width of the last call only, so huge colors, whose
-        widths vary, cannot pile up rows, and keyed by row value, so a row
-        replaced in rows is packed, and checked, afresh.  The bound holds
-        for multiplicities of 0 or more only, so a negative one is refused.
+        kept per row id for the width of the last call only, so huge
+        colors, whose widths vary, cannot pile up rows.  Each is kept with
+        the row object it was packed from, so a row replaced in rows is
+        packed, and checked, afresh.  The bound holds for multiplicities of
+        0 or more only, so a negative one is refused.
         """
-        if min(weights.values(), default=0) < 0:
-            raise ConsistencyError(f"summand multiplicities {list(weights.values())} include a negative one")
-        width = -(-(sum(weights.values()) * self.top).bit_length() // 64) * 64
+        if min(weights, default=0) < 0:
+            raise ConsistencyError(f"summand multiplicities {[w for w in weights if w]} include a negative one")
+        width = -(-(sum(weights) * self.top).bit_length() // 64) * 64
         if width != self._width:
-            self._width, self._packed = width, {}
-        cache = self._packed
+            self._width, self._packed = width, []
+        packed = self._packed
+        packed += [(None, 0)] * (len(weights) - len(packed))
         rows = self.rows
         total = 0
-        for i, weight in weights.items():
-            row = rows[i]
-            packed = cache.get(row)
-            if packed is None:
-                packed = cache[row] = self._pack(row, width)
-            total += weight * packed
+        for i, weight in enumerate(weights):
+            if weight:
+                row = rows[i]
+                kept, p = packed[i]
+                if kept is not row:
+                    p = self._pack(row, width)
+                    packed[i] = row, p
+                total += weight * p
         mask = (1 << width) - 1
         size = self.max_rank + 1
         fields = [total >> (k * width) & mask for k in range(2 * size)]
@@ -225,10 +232,10 @@ def homology_dims(factors, cochain_dims) -> list[int]:
     Each set is carried as its integer key.  Positions 0 .. n - 2 are
     walked level by level; the last one is folded into a single pass that
     looks each key up in the table's ids, decoding and filling it only on
-    a miss, and adds its multiplicity to its row id.  Only the distinct
-    rows reached are summed, each once (a call often reaches fewer than
-    20 of the 234 distinct rows of S_6), all levels at once by
-    `SummandTable.level_sums`.
+    a miss, and adds its multiplicity into a list indexed by row id; a row
+    filled there extends the list.  Only the distinct rows reached are
+    summed, each once (a call often reaches fewer than 20 of the 234
+    distinct rows of S_6), all levels at once by `SummandTable.level_sums`.
     cochain_dims are the complex's level dimensions from the counting
     formula: the summed summand dimensions must reproduce them, or
     ConsistencyError is raised.
@@ -250,7 +257,7 @@ def homology_dims(factors, cochain_dims) -> list[int]:
             if not held & bit
         ]
     ids = table.ids
-    weights: dict[int, int] = {}  # row id -> summed multiplicity, in the order reached
+    weights = [0] * len(table.rows)  # row id -> summed multiplicity
     for key, weight, held in reached:
         key *= n + 1
         for j, f, bit in last:
@@ -258,13 +265,14 @@ def homology_dims(factors, cochain_dims) -> list[int]:
                 i = ids.get(key + j)
                 if i is None:
                     i = table.row_id(key + j)
-                weights[i] = weights.get(i, 0) + weight * f
+                    weights += [0] * (i + 1 - len(weights))
+                weights[i] += weight * f
     dims, hom = table.level_sums(weights)
     if dims != list(cochain_dims):
         raise ConsistencyError(
             f"summand dimensions {dims} do not reproduce the cochain dimensions {list(cochain_dims)}"
         )
-    alternating = sum((-1) ** k * (h - c) for k, (h, c) in enumerate(zip(hom, dims)))
-    if alternating or any(not 0 <= h <= c for h, c in zip(hom, dims)):
+    chi = sum(hom[::2]) - sum(hom[1::2])
+    if chi != sum(dims[::2]) - sum(dims[1::2]) or any(not 0 <= h <= c for h, c in zip(hom, dims)):
         raise ConsistencyError(f"summed homology {hom} does not fit the cochain dimensions {dims}")
     return hom

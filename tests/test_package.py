@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import vandercomplex
-from vandercomplex.errors import ValidationError, strict_int
+from vandercomplex.errors import ValidationError, _shown, strict_int
 
 
 def test_exports_resolve_without_duplicates():
@@ -114,6 +114,12 @@ TWO = vandercomplex.AlgebraSpec(2)
         pytest.param(lambda: vandercomplex.ZndiagMorphism(5, (1,)), "color vector must be an iterable of colors, got int", id="ZndiagMorphism-source-int"),
         pytest.param(lambda: vandercomplex.ZndiagMorphism((1,), (1,), 5), "arcs must be an iterable of position pairs, got int", id="ZndiagMorphism-arcs-int"),
         pytest.param(lambda: vandercomplex.ZndiagMorphism((1,), (1,), (), 5), "dots must be an iterable of colors, got int", id="ZndiagMorphism-dots-int"),
+        pytest.param(lambda: vandercomplex.bruhat.covers(5), "permutation must be an iterable of integers, got int", id="covers-int"),
+        pytest.param(lambda: vandercomplex.bruhat.inversions(5), "permutation must be an iterable of integers, got int", id="inversions-int"),
+        pytest.param(lambda: vandercomplex.linkdiag.circle_count(vandercomplex.torus_two_n(2), 5), "smoothing must be an iterable of bits, got int", id="circle_count-int"),
+        pytest.param(lambda: vandercomplex.linkdiag.circles(vandercomplex.torus_two_n(2), 5), "smoothing must be an iterable of bits, got int", id="circles-int"),
+        pytest.param(lambda: vandercomplex.parse_matrix(5), "matrix file text must be str, bytes or bytearray, got int", id="parse_matrix-int"),
+        pytest.param(lambda: vandercomplex.parse_diagram(5), "diagram file text must be str, bytes or bytearray, got int", id="parse_diagram-int"),
     ],
 )
 def test_malformed_arguments_get_one_line_refusals(call, message):
@@ -156,6 +162,20 @@ HUGE = 10**5000  # past the interpreter's 4,300-digit limit on str()
         pytest.param(_random_matrix(2, -HUGE), "max_entry must be at least 1, got below zero, of 5,001 digits", id="random_matrix-max"),
         pytest.param(lambda: vandercomplex.vandermonde_matrix((-HUGE,), (1,)), "x entry must be positive, got below zero, of 5,001 digits", id="vandermonde-x"),
         pytest.param(lambda: vandercomplex.vandermonde_matrix((2,), (-HUGE,)), "s entry must be nonnegative, got below zero, of 5,001 digits", id="vandermonde-s"),
+        pytest.param(lambda: vandercomplex.bruhat.inversions((1, HUGE)), "not a permutation of 1..2: (1, of 5,001 digits)", id="inversions"),
+        pytest.param(lambda: vandercomplex.bruhat.covers((1, HUGE)), "not a permutation of 1..2: (1, of 5,001 digits)", id="covers"),
+        pytest.param(lambda: vandercomplex.torus_two_n(2).reordered((1, HUGE)), "not a permutation of 1..2: (1, of 5,001 digits)", id="reordered"),
+        pytest.param(lambda: vandercomplex.build_bruhat((1, HUGE)), "group size must be an integer, got (1, of 5,001 digits)", id="build_bruhat-tuple"),
+        pytest.param(
+            lambda: vandercomplex.GF2Matrix(1, HUGE, [0]) @ vandercomplex.GF2Matrix(2, 2),
+            "shape mismatch: 1xof 5,001 digits @ 2x2",
+            id="matmul",
+        ),
+        pytest.param(
+            lambda: vandercomplex.GF2Matrix(2, 2).compose_is_zero(vandercomplex.GF2Matrix(1, HUGE, [0])),
+            "shape mismatch: 2x2 @ 1xof 5,001 digits",
+            id="compose_is_zero",
+        ),
     ],
 )
 def test_refusals_naming_a_huge_integer_raise_the_package_error(call, message):
@@ -171,10 +191,36 @@ def test_refusals_print_ordinary_values_in_full():
         (lambda: vandercomplex.GF2Matrix(2, 2).get(10**79, 0), f"row {10**79} is out of range for a 2x2 matrix"),
         (lambda: vandercomplex.GF2Matrix(2, 2).get(2.0, 0), "row 2.0 is out of range for a 2x2 matrix"),
         (lambda: vandercomplex.verify_euler(vandercomplex.torus_two_n(2), [-(10**79), 1]), f"color vector entries must be positive integers: {[-(10**79), 1]!r}"),
+        (lambda: vandercomplex.bruhat.inversions((1, 3)), "not a permutation of 1..2: (1, 3)"),
+        (lambda: vandercomplex.bruhat.covers([3]), "not a permutation of 1..1: (3,)"),
+        (lambda: vandercomplex.bruhat.covers(("1", "2")), "not a permutation of 1..2: ('1', '2')"),
+        (lambda: vandercomplex.GF2Matrix(2, 3) @ vandercomplex.GF2Matrix(2, 2), "shape mismatch: 2x3 @ 2x2"),
+        (lambda: vandercomplex.build_bruhat((1, 10**79)), f"group size must be an integer, got {(1, 10**79)!r}"),
     ):
         with pytest.raises(vandercomplex.VanderComplexError) as info:
             call()
         assert str(info.value) == message
+
+
+def test_matrix_repr_is_one_line_at_any_size():
+    assert repr(vandercomplex.GF2Matrix(2, 3)) == "GF2Matrix(2x3)"
+    assert repr(vandercomplex.GF2Matrix(1, HUGE, [0])) == "GF2Matrix(1xof 5,001 digits)"
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        pytest.param(-HUGE, "below zero, of 5,001 digits", id="int"),
+        pytest.param((), "()", id="empty-tuple"),
+        pytest.param((HUGE,), "(of 5,001 digits,)", id="one-tuple"),
+        pytest.param((1, (2, HUGE), "a"), "(1, (2, of 5,001 digits), 'a')", id="nested-tuple"),
+        pytest.param([1, 2], "[1, 2]", id="list"),
+        pytest.param([HUGE], "<list>", id="list-past-digit-limit"),
+        pytest.param("x" * 200, "'" + "x" * 116 + "...", id="long-repr"),
+    ],
+)
+def test_refusals_show_values_on_one_bounded_line(value, shown):
+    assert _shown(value) == shown
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:

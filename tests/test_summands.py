@@ -7,6 +7,9 @@ import pytest
 
 from vandercomplex import (
     ConsistencyError,
+    LinkDiagram,
+    PosIntMatrix,
+    SizeError,
     build_bruhat,
     build_complex,
     build_matrix_complex,
@@ -256,6 +259,41 @@ def test_packed_level_sums_match_per_level_sums():
     # cases whose width bound has exactly the bits of their largest level:
     # a width one bit short of the bound carries there
     assert tight >= {65, 129}
+
+
+def test_matrix_reports_keep_the_grid_symmetries():
+    # Graded forms of det(m^T) = det(m) and det(w0 m) = sign(w0) det(m):
+    # transposing m keeps H, and reversing its rows or its columns reverses
+    # H (k -> n(n-1)/2 - k).  Each variant walks the constraint sets, and
+    # fills and sums their rows, in another order.
+    rng = random.Random(14)
+    for _ in range(150):
+        m = random_matrix(rng.randint(2, 5), rng.choice((2, 3, 5)), rng)
+        hom = matrix_report(m).homology_dims
+        assert matrix_report(PosIntMatrix(tuple(zip(*m.entries)))).homology_dims == hom, m
+        assert matrix_report(PosIntMatrix(m.entries[::-1])).homology_dims == hom[::-1], m
+        assert matrix_report(PosIntMatrix(tuple(row[::-1] for row in m.entries))).homology_dims == hom[::-1], m
+
+
+def test_link_reports_reverse_with_the_colors():
+    # Reversing x reverses the rows of the grid (x_i^(s_j)) and its base
+    # x_i, so H comes out reversed; draws past the default budget are
+    # refused and counted.
+    rng = random.Random(15)
+    checked = refused = 0
+    for _ in range(220):
+        n = rng.randint(2, 5)
+        d = torus_two_n(n) if rng.random() < 0.5 else random_diagram(n, rng)
+        d = LinkDiagram(d.crossings, rng.randint(0, 2))
+        x = tuple(rng.randint(1, 4) for _ in range(n))
+        try:
+            hom = verify_euler(d, x).homology_dims
+        except SizeError:
+            refused += 1
+            continue
+        assert verify_euler(d, x[::-1]).homology_dims == hom[::-1], (d, x)
+        checked += 1
+    assert checked >= 100, (checked, refused)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
